@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Benchmark the hot kernels on both execution paths.
 
-Ray-box intersection and batch angular residuals have genuinely separate
-numba and vectorized-numpy implementations, timed side by side in-process.
-The single EPnP solve is single-source (compiled when numba is enabled),
-so the pure path is measured by re-running this script in a subprocess
-with PANOLOC_DISABLE_NUMBA=1. RANSAC solves its hypotheses in batched
-numpy in both modes; only its final refit goes through the EPnP kernel.
+Batch angular residuals have separate numba and vectorized-numpy
+implementations, timed side by side in-process. The single EPnP solve is
+single-source (compiled when numba is enabled), so the pure path is
+measured by re-running this script in a subprocess with
+PANOLOC_DISABLE_NUMBA=1. RANSAC solves its hypotheses in batched numpy in
+both modes; only its final refit goes through the EPnP kernel. Ray
+casting has one numpy implementation and is timed through the public
+``raycast_render``.
 
 Usage:
     python benchmarks/bench_kernels.py [--repeats 5] [--rays 131072] ...
@@ -21,12 +23,12 @@ import time
 
 import numpy as np
 
-from panoloc._accel import NUMBA_ENABLED
-from panoloc.geometry import image_bearings, quaternion_to_rotation, Pose
+from panoloc._accel import ACCEL_MODE, NUMBA_ENABLED
+from panoloc.geometry import quaternion_to_rotation, Pose
 from panoloc.pnp import (Correspondences, RansacConfig, _residuals_numpy,
                          _residuals_scalar, _solve_epnp, ransac_pnp)
-from panoloc.scene_sim import (_intersect_boxes_numpy, _intersect_boxes_scalar,
-                               generate_city, sample_trajectory)
+from panoloc.scene_sim import (LARGE_CITY, SMALL_CITY, generate_city, raycast_render,
+                               sample_trajectory)
 
 
 def best_of(fn, repeats):
@@ -38,15 +40,18 @@ def best_of(fn, repeats):
     return min(times)
 
 
+def ray_rows(args):
+    """Image height whose 2H x H panorama has about ``args.rays`` pixels."""
+    return int(round((args.rays / 2) ** 0.5))
+
+
 def make_inputs(args):
     rng = np.random.default_rng(0)
-    scene = generate_city(args.boxes, (13, 12), seed=7)
+    small = args.boxes <= SMALL_CITY["grid_dims"][0] * SMALL_CITY["grid_dims"][1]
+    grid = (SMALL_CITY if small else LARGE_CITY)["grid_dims"]
+    scene = generate_city(args.boxes, grid, seed=7)
     _, pose = sample_trajectory(scene, 1, seed=7)[0]
-    params, _ = scene.box_arrays()
-    height = int(round((args.rays / 2) ** 0.5))
-    bearings = image_bearings(2 * height, height).reshape(-1, 3)
-    dirs = np.ascontiguousarray(bearings @ pose.rotation.T)
-    origin = pose.camera_center
+    height = ray_rows(args)
 
     rot = quaternion_to_rotation(rng.normal(size=4))
     cam_pose = Pose(rot, -rot.T @ rng.uniform(-20, 20, 3))
@@ -66,7 +71,7 @@ def make_inputs(args):
     ransac_corrs = Correspondences(brs[:500], ransac_pts)
 
     return {
-        "origin": origin, "dirs": dirs, "params": params,
+        "scene": scene, "pose": pose, "dims": (2 * height, height),
         "rot": cam_pose.rotation, "t": cam_pose.translation,
         "pts": pts, "brs": brs,
         "minimal_pts": minimal_pts, "minimal_brs": minimal_brs,
@@ -78,17 +83,15 @@ def run_benchmarks(args):
     data = make_inputs(args)
     results = {}
 
+    # one implementation in every mode
+    results["raycast_numpy"] = best_of(
+        lambda: raycast_render(data["scene"], data["pose"], data["dims"]), args.repeats)
+
     # dual-implementation kernels: both paths measured directly
     if NUMBA_ENABLED:
-        results["raycast_numba"] = best_of(
-            lambda: _intersect_boxes_scalar(data["origin"], data["dirs"], data["params"]),
-            args.repeats)
         results["residuals_numba"] = best_of(
             lambda: _residuals_scalar(data["rot"], data["t"], data["pts"], data["brs"]),
             args.repeats)
-    results["raycast_numpy"] = best_of(
-        lambda: _intersect_boxes_numpy(data["origin"], data["dirs"], data["params"]),
-        args.repeats)
     results["residuals_numpy"] = best_of(
         lambda: _residuals_numpy(data["rot"], data["t"], data["pts"], data["brs"]),
         args.repeats)
@@ -126,8 +129,7 @@ def main():
         print(json.dumps(results))
         return
 
-    mode = "numba" if NUMBA_ENABLED else "pure numpy (PANOLOC_DISABLE_NUMBA)"
-    print(f"mode: {mode}")
+    print(f"mode: {'numba' if NUMBA_ENABLED else f'pure numpy ({ACCEL_MODE})'}")
     if NUMBA_ENABLED:
         env = dict(os.environ, PANOLOC_DISABLE_NUMBA="1")
         cmd = [sys.executable, os.path.abspath(__file__), "--emit-json",
@@ -137,8 +139,9 @@ def main():
         out = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
         results.update(json.loads(out.stdout.strip().splitlines()[-1]))
 
+    height = ray_rows(args)
     pairs = [
-        ("ray-box intersection", "raycast_numba", "raycast_numpy"),
+        (f"raycast {2 * height}x{height}, {args.boxes} boxes", None, "raycast_numpy"),
         ("angular residuals", "residuals_numba", "residuals_numpy"),
         (f"epnp minimal x{args.solves}",
          f"epnp_minimal_x{args.solves}_numba", f"epnp_minimal_x{args.solves}_pure"),

@@ -10,7 +10,7 @@ cross-checking regardless of the flag.
 
 import os
 
-__all__ = ["NUMBA_ENABLED", "maybe_njit"]
+__all__ = ["ACCEL_MODE", "NUMBA_ENABLED", "maybe_njit"]
 
 _disable = os.environ.get("PANOLOC_DISABLE_NUMBA", "").strip().lower()
 _DISABLED = _disable in {"1", "true", "yes", "on"}
@@ -21,8 +21,10 @@ try:
     from numba import njit as _njit
 
     NUMBA_ENABLED = True
+    ACCEL_MODE = "numba"
 except ImportError:
     NUMBA_ENABLED = False
+    ACCEL_MODE = "numba disabled" if _DISABLED else "numba missing"
 
 
 def maybe_njit(*args, **kwargs):

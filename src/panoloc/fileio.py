@@ -22,7 +22,7 @@ from .geometry import Pose, quaternion_to_rotation, rotation_to_quaternion
 from .images import LabelImage, SceneCoordinateImage
 from .instance_map import InstanceMap, WhiteningTransform
 from .images import NUM_CLASS_LABELS
-from .scene_sim import CityScene, Cuboid
+from .scene_sim import CityLayout, CityScene, Cuboid
 
 __all__ = [
     "save_coords",
@@ -130,6 +130,12 @@ def save_scene(path, scene: CityScene) -> None:
         ],
         "road_segments": int(scene.road_segments),
     }
+    if scene.layout is not None:
+        doc["layout"] = {
+            "grid_dims": [int(x) for x in scene.layout.grid_dims],
+            "block": float(scene.layout.block),
+            "street": float(scene.layout.street),
+        }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
@@ -147,7 +153,11 @@ def load_scene(path) -> CityScene:
         )
         for rec in doc["buildings"]
     )
-    return CityScene(buildings, int(doc["road_segments"]), int(doc["seed"]))
+    layout = doc.get("layout")
+    if layout is not None:
+        layout = CityLayout(tuple(int(x) for x in layout["grid_dims"]),
+                            float(layout["block"]), float(layout["street"]))
+    return CityScene(buildings, int(doc["road_segments"]), int(doc["seed"]), layout)
 
 
 def save_ply(path, points: np.ndarray, labels: np.ndarray) -> None:

@@ -4,7 +4,7 @@ import pytest
 from panoloc import fileio
 from panoloc.images import LabelImage, SceneCoordinateImage
 from panoloc.instance_map import build_instance_map
-from panoloc.scene_sim import generate_city
+from panoloc.scene_sim import generate_city, sample_trajectory
 
 
 class TestCoordFiles:
@@ -98,6 +98,18 @@ class TestSceneFile:
             assert np.array_equal(a.half_extents, b.half_extents)
             assert a.yaw == b.yaw
             assert a.label == b.label
+
+    def test_round_trip_keeps_layout(self, tmp_path):
+        scene = generate_city(12, (4, 4), seed=3, block=22.0, street=9.0)
+        path = tmp_path / "scene.json"
+        fileio.save_scene(path, scene)
+        back = fileio.load_scene(path)
+        for (fa, pa), (fb, pb) in zip(sample_trajectory(scene, 5, seed=4),
+                                      sample_trajectory(back, 5, seed=4)):
+            assert fa == fb
+            assert np.array_equal(pa.rotation, pb.rotation)
+            assert np.array_equal(pa.translation, pb.translation)
+        assert back.layout == scene.layout
 
 
 class TestPlyFile:

@@ -1,26 +1,28 @@
 import math
 
+from hypothesis import assume, given, settings, strategies as st
 import numpy as np
 import pytest
 from scipy.stats import maxwell
 
-from panoloc.geometry import Pose, heading_pose, image_bearings, pixel_to_bearing
+from panoloc import scene_sim
+from panoloc.geometry import (Pose, heading_pose, image_bearings, pixel_to_bearing,
+                              quaternion_to_rotation)
 from panoloc.images import ROAD_LABEL, SKY_LABEL, VOID_LABEL
 from panoloc.instance_map import build_instance_map
 from panoloc.pnp import Correspondences, angular_residuals
-from panoloc.scene_sim import (CityScene, Cuboid, NoiseModel, PlacementError,
-                               _intersect_boxes_numpy, _intersect_boxes_scalar,
+from panoloc.scene_sim import (LARGE_CITY, SMALL_CITY, CityScene, Cuboid, NoiseModel,
+                               PlacementError, _intersect_boxes, _pixel_windows,
                                approximate_city, cuboid_approximation,
                                cuboids_overlap, generate_city, project_pointcloud,
-                               raycast_render, remove_buildings,
-                               render_approximate_gt, sample_trajectory,
+                               raycast_render, remove_buildings, sample_trajectory,
                                simulate_predictions)
 
 DIMS = (128, 64)
 
 
-def overhead_pose(height=10.0):
-    return Pose(np.eye(3), -np.array([0.0, height, 0.0]))
+def overhead_pose(height=10.0, x=0.0, z=0.0):
+    return Pose(np.eye(3), -np.array([x, height, z]))
 
 
 def single_box_scene(center=(0.0, 1.0, 5.0), half=(0.5, 1.0, 0.5), yaw=0.0):
@@ -156,18 +158,6 @@ class TestRaycast:
         with pytest.raises(ValueError, match="inside"):
             raycast_render(scene, pose, DIMS)
 
-    def test_scalar_and_numpy_kernels_bit_identical(self):
-        scene = generate_city(40, (8, 8), seed=6)
-        _, pose = sample_trajectory(scene, 1, seed=6)[0]
-        params, _ = scene.box_arrays()
-        dirs = np.ascontiguousarray(
-            image_bearings(*DIMS).reshape(-1, 3) @ pose.rotation.T)
-        origin = pose.camera_center
-        t_a, i_a = _intersect_boxes_scalar(origin, dirs, params)
-        t_b, i_b = _intersect_boxes_numpy(origin, dirs, params)
-        assert np.array_equal(t_a, t_b)
-        assert np.array_equal(i_a, i_b)
-
     def test_axis_parallel_rays_handled(self):
         # rays parallel to box faces (d == 0 on an axis) must not produce NaN hits
         scene = single_box_scene(center=(0.0, 1.0, 5.0), half=(1.0, 1.0, 1.0))
@@ -175,6 +165,149 @@ class TestRaycast:
         coords, labels = raycast_render(scene, pose, DIMS)
         assert (labels.labels == 1000).sum() > 0
         assert not np.isnan(coords.coords[coords.mask]).any()
+
+
+def brute_force_hits(origin, dirs, params):
+    """Slab test of every (ray, box) pair: nearest hit per ray, ties to the
+    lower box index. The reference the culled ray caster must equal bitwise."""
+    n = dirs.shape[0]
+    t_out = np.full(n, np.inf)
+    idx_out = np.full(n, -1, dtype=np.int64)
+    for b in range(params.shape[0]):
+        cx, cy, cz, hx, hy, hz, cos_yaw, sin_yaw = params[b]
+        wx, wy, wz = origin[0] - cx, origin[1] - cy, origin[2] - cz
+        o = np.array([cos_yaw * wx - sin_yaw * wz, wy, sin_yaw * wx + cos_yaw * wz])
+        d = np.empty_like(dirs)
+        d[:, 0] = cos_yaw * dirs[:, 0] - sin_yaw * dirs[:, 2]
+        d[:, 1] = dirs[:, 1]
+        d[:, 2] = sin_yaw * dirs[:, 0] + cos_yaw * dirs[:, 2]
+        half = np.array([hx, hy, hz])
+        tmin = np.full(n, -np.inf)
+        tmax = np.full(n, np.inf)
+        for axis in range(3):
+            da = d[:, axis]
+            zero = da == 0.0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t1 = (-half[axis] - o[axis]) / da
+                t2 = (half[axis] - o[axis]) / da
+            inside = (o[axis] >= -half[axis]) & (o[axis] <= half[axis])
+            tn = np.where(zero, np.where(inside, -np.inf, np.inf), np.minimum(t1, t2))
+            tf = np.where(zero, np.where(inside, np.inf, -np.inf), np.maximum(t1, t2))
+            tmin = np.maximum(tmin, tn)
+            tmax = np.minimum(tmax, tf)
+        hit = (tmax >= tmin) & (tmin > 1e-9) & (tmin < t_out)
+        t_out[hit] = tmin[hit]
+        idx_out[hit] = b
+    return t_out, idx_out
+
+
+def assert_culled_matches_brute_force(scene, pose, dims):
+    params, _ = scene.box_arrays()
+    dirs = np.ascontiguousarray(image_bearings(*dims).reshape(-1, 3) @ pose.rotation.T)
+    origin = pose.camera_center
+    t_ref, idx_ref = brute_force_hits(origin, dirs, params)
+    t_cull, idx_cull = _intersect_boxes(origin, pose.rotation, dirs, params, dims)
+    assert np.array_equal(t_cull, t_ref)
+    assert np.array_equal(idx_cull, idx_ref)
+    return _pixel_windows(origin, pose.rotation, params, dims)
+
+
+class TestCulledRaycast:
+    @pytest.mark.parametrize("preset, dims", [(SMALL_CITY, (512, 256)),
+                                              (LARGE_CITY, (256, 128))])
+    def test_presets_match_brute_force(self, preset, dims):
+        scene = generate_city(preset["n_buildings"], preset["grid_dims"], seed=7)
+        for _, pose in sample_trajectory(scene, 2, seed=7):
+            assert_culled_matches_brute_force(scene, pose, dims)
+
+    def test_camera_next_to_tall_facade_tests_every_pixel(self):
+        tall = Cuboid(np.array([0.0, 20.0, 5.0]), np.array([6.0, 20.0, 3.0]), 0.0, 1000)
+        far = Cuboid(np.array([30.0, 4.0, -20.0]), np.array([3.0, 4.0, 3.0]), 0.2, 1001)
+        scene = CityScene((tall, far), 1, 0)
+        pose = heading_pose(np.array([0.5, 1.7, 1.95]), 0.3)  # 5 cm from the face
+        row0, nrows, col0, ncols = assert_culled_matches_brute_force(scene, pose, DIMS)
+        assert (row0[0], nrows[0], col0[0], ncols[0]) == (0, DIMS[1], 0, DIMS[0])
+        assert nrows[1] * ncols[1] < DIMS[0] * DIMS[1] // 10
+
+    def test_box_straddling_longitude_seam(self):
+        # the box sits straight behind the camera, where longitude wraps
+        scene = single_box_scene(center=(0.3, 2.0, -12.0), half=(3.0, 2.0, 1.0), yaw=0.1)
+        pose = Pose(np.eye(3), -np.array([0.0, 1.5, 0.0]))
+        row0, nrows, col0, ncols = assert_culled_matches_brute_force(scene, pose, DIMS)
+        assert col0[0] + ncols[0] > DIMS[0] and ncols[0] < DIMS[0] // 2
+        _, labels = raycast_render(scene, pose, DIMS)
+        hit_cols = np.flatnonzero((labels.labels == 1000).any(axis=0))
+        assert hit_cols[0] == 0 and hit_cols[-1] == DIMS[0] - 1
+
+    def test_window_covering_pole(self):
+        scene = generate_city(SMALL_CITY["n_buildings"], SMALL_CITY["grid_dims"], seed=7)
+        roof = scene.buildings[40]
+        pose = overhead_pose(2.0 * roof.half_extents[1] + 3.0, roof.center[0], roof.center[2])
+        row0, nrows, col0, ncols = assert_culled_matches_brute_force(scene, pose, (256, 128))
+        assert ncols[40] == 256 and nrows[40] < 128
+
+    @pytest.mark.parametrize("batch", [None, 50])
+    def test_coincident_boxes_keep_lower_index(self, monkeypatch, batch):
+        # equal t on every ray: the lower box index wins, also across batches
+        if batch is not None:
+            monkeypatch.setattr(scene_sim, "_PAIR_BATCH", batch)
+        boxes = [Cuboid(np.array([2.0, 1.5, 6.0]), np.array([1.0, 1.5, 2.0]), 0.4, 1000 + k)
+                 for k in range(3)]
+        scene = CityScene(boxes, 1, 0)
+        pose = heading_pose(np.array([0.0, 1.0, 0.0]), 0.2)
+        assert_culled_matches_brute_force(scene, pose, (64, 32))
+        _, labels = raycast_render(scene, pose, (64, 32))
+        assert set(np.unique(labels.labels)) >= {1000} and 1001 not in labels.labels
+
+    def test_candidate_pairs_follow_visible_buildings(self):
+        scene = generate_city(LARGE_CITY["n_buildings"], LARGE_CITY["grid_dims"], seed=7)
+        params, _ = scene.box_arrays()
+        width, height = 512, 256
+        for _, pose in sample_trajectory(scene, 3, seed=7):
+            _, nrows, _, ncols = _pixel_windows(pose.camera_center, pose.rotation,
+                                                params, (width, height))
+            assert (nrows * ncols).sum() < 0.01 * width * height * len(params)
+
+    @settings(max_examples=60, deadline=None)
+    @given(quat=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+           position=st.tuples(st.floats(-40.0, 40.0), st.floats(-3.0, 35.0),
+                              st.floats(-40.0, 40.0)),
+           height=st.integers(2, 40), seed=st.integers(0, 50))
+    def test_random_cameras_match_brute_force(self, quat, position, height, seed):
+        assume(np.linalg.norm(quat) > 0.1)
+        scene = generate_city(12, (4, 4), seed=seed)
+        center = np.array(position)
+        assume(not any(b.contains(center) for b in scene.buildings))
+        rot = quaternion_to_rotation(np.array(quat))
+        assert_culled_matches_brute_force(scene, Pose(rot, -rot.T @ center),
+                                          (2 * height, height))
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(quat=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+           position=st.tuples(st.floats(-30.0, 30.0), st.floats(-5.0, 40.0),
+                              st.floats(-30.0, 30.0)),
+           half=st.tuples(st.floats(0.2, 10.0), st.floats(0.2, 10.0), st.floats(0.2, 10.0)),
+           yaw=st.floats(-math.pi, math.pi), height=st.integers(2, 60))
+    def test_window_holds_every_pixel_of_its_cone(self, quat, position, half, yaw, height):
+        assume(np.linalg.norm(quat) > 0.1)
+        box = Cuboid(np.array([0.0, half[1], 0.0]), np.array(half), yaw, 1000)
+        camera = np.array(position)
+        assume(not box.contains(camera))
+        rot = quaternion_to_rotation(np.array(quat))
+        width = 2 * height
+        params, _ = CityScene((box,), 1, 0).box_arrays()
+        row0, nrows, col0, ncols = (w[0] for w in _pixel_windows(camera, rot, params,
+                                                                 (width, height)))
+        # the cone from the camera around the box centre through its farthest corner
+        axis = (box.center - camera) / np.linalg.norm(box.center - camera)
+        to_corners = box.corners() - camera
+        to_corners /= np.linalg.norm(to_corners, axis=1, keepdims=True)
+        cos_half_angle = (to_corners @ axis).min()
+        in_cone = image_bearings(width, height) @ rot.T @ axis >= cos_half_angle
+        rows, cols = np.nonzero(in_cone)
+        assert np.all((rows >= row0) & (rows < row0 + nrows))
+        assert np.all((cols - col0) % width < ncols)
 
 
 class TestProjectPointcloud:
@@ -403,7 +536,7 @@ class TestCuboidApproximation:
         _, pose = sample_trajectory(scene, 1, seed=10)[0]
         approx = approximate_city(scene)
         a_coords, a_labels = raycast_render(scene, pose, DIMS)
-        b_coords, b_labels = render_approximate_gt(approx, pose, DIMS)
+        b_coords, b_labels = raycast_render(approx, pose, DIMS)
         assert np.array_equal(a_coords.coords, b_coords.coords, equal_nan=True)
         assert np.array_equal(a_labels.labels, b_labels.labels)
 
