@@ -8,7 +8,9 @@ measured by re-running this script in a subprocess with
 PANOLOC_DISABLE_NUMBA=1. RANSAC solves its hypotheses in batched numpy in
 both modes; only its final refit goes through the EPnP kernel. Ray
 casting has one numpy implementation and is timed through the public
-``raycast_render``.
+``raycast_render``. RANSAC is timed through the public ``ransac_pnp`` on
+500 points and on 5000 points (the localize cap), both with 1000
+iterations and the default inlier threshold.
 
 Usage:
     python benchmarks/bench_kernels.py [--repeats 5] [--rays 131072] ...
@@ -70,12 +72,17 @@ def make_inputs(args):
     ransac_pts[:200] = rng.uniform(-80, 80, (200, 3))
     ransac_corrs = Correspondences(brs[:500], ransac_pts)
 
+    # the localize cap: 5000 correspondences, 20% outliers
+    cap_pts = pts[:5000].copy()
+    cap_pts[:1000] = rng.uniform(-80, 80, (1000, 3))
+    cap_corrs = Correspondences(brs[:5000], cap_pts)
+
     return {
         "scene": scene, "pose": pose, "dims": (2 * height, height),
         "rot": cam_pose.rotation, "t": cam_pose.translation,
         "pts": pts, "brs": brs,
         "minimal_pts": minimal_pts, "minimal_brs": minimal_brs,
-        "ransac_corrs": ransac_corrs,
+        "ransac_corrs": ransac_corrs, "cap_corrs": cap_corrs,
     }
 
 
@@ -109,6 +116,9 @@ def run_benchmarks(args):
         lambda: solver(data["pts"], data["brs"]), args.repeats)
     results[f"ransac_500pts_1000it_{label}"] = best_of(
         lambda: ransac_pnp(data["ransac_corrs"], RansacConfig(seed=1)),
+        max(1, args.repeats // 2))
+    results[f"ransac_5000pts_1000it_{label}"] = best_of(
+        lambda: ransac_pnp(data["cap_corrs"], RansacConfig(seed=1)),
         max(1, args.repeats // 2))
     return results
 
@@ -149,6 +159,8 @@ def main():
          f"epnp_refit_n{args.points}_numba", f"epnp_refit_n{args.points}_pure"),
         ("ransac 500 pts / 1000 it",
          "ransac_500pts_1000it_numba", "ransac_500pts_1000it_pure"),
+        ("ransac 5000 pts / 1000 it",
+         "ransac_5000pts_1000it_numba", "ransac_5000pts_1000it_pure"),
     ]
     print(f"{'kernel':<28} {'numba (s)':>12} {'numpy (s)':>12} {'speedup':>9}")
     for name, nb_key, np_key in pairs:

@@ -54,7 +54,7 @@ def _write_meta(out_dir: Path, command: str, args: argparse.Namespace) -> None:
     flags = {k: v for k, v in sorted(vars(args).items())
              if k not in skip and not callable(v)}
     meta = {"command": command, "seed": flags.get("seed"), "flags": flags}
-    with open(out_dir / f"{command.replace('-', '_')}_meta.json", "w", encoding="utf-8") as fh:
+    with fileio.atomic_open(out_dir / f"{command.replace('-', '_')}_meta.json") as fh:
         json.dump(meta, fh, indent=1, default=str)
         fh.write("\n")
 
@@ -151,7 +151,7 @@ def cmd_fit_map(args) -> int:
     meta_dir = out_path.parent
     _write_meta(meta_dir, "fit-map", args)
     if imap.skipped:
-        with open(meta_dir / "fit_map_skipped.json", "w", encoding="utf-8") as fh:
+        with fileio.atomic_open(meta_dir / "fit_map_skipped.json") as fh:
             json.dump({str(k): v for k, v in sorted(imap.skipped.items())}, fh, indent=1)
             fh.write("\n")
     print(f"fit-map: {len(imap)} instances ({len(imap.skipped)} skipped) -> {out_path}")
@@ -304,12 +304,12 @@ def cmd_evaluate(args) -> int:
             pct = [100.0 * float((dist <= t).sum()) / dist.size for t in _ROC_THRESHOLDS]
             rows.append((key, pct))
         if rows:
-            with open(out_dir / "roc.csv", "w", encoding="utf-8") as fh:
+            with fileio.atomic_open(out_dir / "roc.csv") as fh:
                 fh.write("threshold_m," + ",".join(key for key, _ in rows) + "\n")
                 for i, t in enumerate(_ROC_THRESHOLDS):
                     fh.write(f"{t:g}," + ",".join(f"{pct[i]!r}" for _, pct in rows) + "\n")
 
-    with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
+    with fileio.atomic_open(out_dir / "report.json") as fh:
         json.dump(report, fh, indent=1, sort_keys=True)
         fh.write("\n")
     _write_meta(out_dir, "evaluate", args)
@@ -323,7 +323,7 @@ def cmd_evaluate(args) -> int:
 
 
 def _write_curve(path, values) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with fileio.atomic_open(path) as fh:
         fh.write("rank,value\n")
         for i, v in enumerate(values):
             fh.write(f"{i},{float(v)!r}\n")

@@ -12,9 +12,17 @@
     "inliers" and "mean_residual_deg" per record.
 
 All writers are deterministic: identical inputs give identical bytes.
+They write a temporary file in the target's directory and rename it over
+the target once it is complete, so a reader never sees a partial file and
+re-running a stage never truncates an old output in place. Readers of the
+binary images reject a malformed header, a short payload and trailing
+bytes with a ValueError that names the file.
 """
 
+from contextlib import contextmanager
 import json
+import os
+import threading
 
 import numpy as np
 
@@ -25,6 +33,7 @@ from .images import NUM_CLASS_LABELS
 from .scene_sim import CityLayout, CityScene, Cuboid
 
 __all__ = [
+    "atomic_open",
     "save_coords",
     "load_coords",
     "save_labels",
@@ -43,42 +52,80 @@ _COORD_MAGIC = b"SCRD1\n"
 _LABEL_MAGIC = b"LBLS1\n"
 
 
+@contextmanager
+def atomic_open(path, mode="w"):
+    """Open a temporary file next to ``path``; on success rename it to ``path``.
+
+    ``mode`` is "w" (UTF-8 text) or "wb". If the block raises, the temporary
+    file is removed and an existing ``path`` is left as it was.
+    """
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def _read_image(path, magic, kind, channels):
+    """(width, height, payload) of a SCRD/LBLS file, strictly checked.
+
+    The header is "W H", or "W H C" when ``channels`` is given; every pixel
+    holds ``channels`` (or one) 4-byte values.
+    """
+    with open(path, "rb") as fh:
+        if fh.read(len(magic)) != magic:
+            raise ValueError(f"{path}: not a {kind} file")
+        header = fh.readline().split()
+        try:
+            fields = [int(x) for x in header]
+        except ValueError:
+            fields = []
+        if len(fields) != (2 if channels is None else 3):
+            raise ValueError(f"{path}: malformed {kind} header {b' '.join(header)!r}")
+        width, height = fields[:2]
+        if channels is not None and fields[2] != channels:
+            raise ValueError(f"{path}: expected {channels} channels, got {fields[2]}")
+        if height < 1 or width != 2 * height:
+            raise ValueError(f"{path}: dims must be positive with W = 2H, got {width}x{height}")
+        size = width * height * (channels or 1) * 4
+        payload = fh.read(size)
+        if len(payload) < size:
+            raise ValueError(f"{path}: truncated payload, {len(payload)} of {size} bytes")
+        if fh.read(1):
+            extra = os.fstat(fh.fileno()).st_size - fh.tell() + 1
+            raise ValueError(f"{path}: {extra} trailing bytes after the payload")
+    return width, height, payload
+
+
 def save_coords(path, image: SceneCoordinateImage) -> None:
     data = np.ascontiguousarray(image.coords, dtype="<f4")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(_COORD_MAGIC)
         fh.write(f"{image.width} {image.height} 3\n".encode("ascii"))
         fh.write(data.tobytes())
 
 
 def load_coords(path) -> SceneCoordinateImage:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_COORD_MAGIC))
-        if magic != _COORD_MAGIC:
-            raise ValueError(f"{path}: not a scene-coordinate file")
-        width, height, channels = (int(x) for x in fh.readline().split())
-        if channels != 3:
-            raise ValueError(f"{path}: expected 3 channels, got {channels}")
-        raw = fh.read(width * height * 3 * 4)
+    width, height, raw = _read_image(path, _COORD_MAGIC, "scene-coordinate", 3)
     arr = np.frombuffer(raw, dtype="<f4").reshape(height, width, 3)
     return SceneCoordinateImage(arr.astype(np.float64))
 
 
 def save_labels(path, image: LabelImage) -> None:
     data = np.ascontiguousarray(image.labels, dtype="<u4")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(_LABEL_MAGIC)
         fh.write(f"{image.width} {image.height}\n".encode("ascii"))
         fh.write(data.tobytes())
 
 
 def load_labels(path) -> LabelImage:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_LABEL_MAGIC))
-        if magic != _LABEL_MAGIC:
-            raise ValueError(f"{path}: not a label file")
-        width, height = (int(x) for x in fh.readline().split())
-        raw = fh.read(width * height * 4)
+    width, height, raw = _read_image(path, _LABEL_MAGIC, "label", None)
     arr = np.frombuffer(raw, dtype="<u4").reshape(height, width)
     return LabelImage(arr.copy())
 
@@ -94,7 +141,7 @@ def save_instance_map(path, imap: InstanceMap) -> None:
             "count": int(tf.point_count),
         })
     doc = {"labels": records, "label_count": int(imap.label_count)}
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
 
@@ -136,7 +183,7 @@ def save_scene(path, scene: CityScene) -> None:
             "block": float(scene.layout.block),
             "street": float(scene.layout.street),
         }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
 
@@ -165,7 +212,7 @@ def save_ply(path, points: np.ndarray, labels: np.ndarray) -> None:
     labs = np.asarray(labels).reshape(-1)
     if pts.shape[0] != labs.shape[0]:
         raise ValueError("points and labels must have matching lengths")
-    with open(path, "w", encoding="ascii") as fh:
+    with atomic_open(path) as fh:
         fh.write("ply\nformat ascii 1.0\n")
         fh.write(f"element vertex {pts.shape[0]}\n")
         fh.write("property float x\nproperty float y\nproperty float z\n")
@@ -212,7 +259,7 @@ def save_estimates_jsonl(path, records) -> None:
     Each record is (frame, pose | None, inliers, mean_residual_deg,
     failure_reason | None); failed frames get {"failed": true}.
     """
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for frame, pose, inliers, mean_residual, reason in records:
             if pose is None:
                 rec = {"frame": str(frame), "failed": True, "reason": str(reason)}

@@ -15,6 +15,7 @@ Conventions used throughout the package:
 """
 
 from dataclasses import dataclass
+import functools
 import json
 import math
 
@@ -135,12 +136,19 @@ def bearing_to_pixel(bearing: np.ndarray, width: int, height: int):
     return u, v
 
 
+@functools.lru_cache(maxsize=4)
 def image_bearings(width: int, height: int) -> np.ndarray:
-    """(H, W, 3) array of unit bearings for every pixel centre."""
+    """(H, W, 3) array of unit bearings for every pixel centre.
+
+    The grid is computed once per image size and shared between callers,
+    so it is read-only; copy it before writing to it.
+    """
     _check_dims(width, height)
     uu, vv = np.meshgrid(np.arange(width, dtype=np.float64),
                          np.arange(height, dtype=np.float64))
-    return pixel_to_bearing(uu, vv, width, height)
+    grid = pixel_to_bearing(uu, vv, width, height)
+    grid.flags.writeable = False
+    return grid
 
 
 def world_to_camera(pose: Pose, points: np.ndarray) -> np.ndarray:
@@ -232,7 +240,9 @@ def save_poses_jsonl(path, frames_and_poses) -> None:
     ``q`` is the unit quaternion [w, x, y, z] of the rotation with w >= 0;
     ``t`` is the translation of the world->camera map.
     """
-    with open(path, "w", encoding="utf-8") as fh:
+    from .fileio import atomic_open  # fileio imports this module
+
+    with atomic_open(path) as fh:
         for frame, pose in frames_and_poses:
             rec = {
                 "frame": str(frame),

@@ -9,10 +9,19 @@ with an angular inlier test wraps the minimal solver. Iterations draw
 samples from counter-based generators keyed by (seed, iteration). The
 minimal solves run in numpy on stacked samples, a fixed-size chunk of
 hypotheses at a time, and each chunk is scored against all
-correspondences in one pass. Chunk boundaries depend only on the iteration
-count and every hypothesis's arithmetic is independent of its neighbours,
-so results are reproducible bit for bit whether chunks run serially or
-across threads. The scalar solver below (compiled with numba when it is
+correspondences in two steps. First a prefilter: with the points centred
+on their mean and lifted to q (x) b, one GEMM gives c = g . b for every
+(hypothesis, point) pair and a second gives kappa |g|^2, where g is the
+point in the camera frame and kappa = cos^2 of a slightly widened
+threshold angle. It keeps a pair when c |c| >= kappa |g|^2 - sigma, where
+sigma bounds the rounding of both GEMMs and of the exact test. An inlier
+has c >= cos(angle) |g| |b| > 0, so the prefilter never drops one
+(_score_hypotheses derives the bound). Then the exact arctan2 residual is
+taken for the kept pairs only, and ``residual < threshold`` decides every
+inlier as before. Chunk boundaries depend only on the iteration count and
+every hypothesis's arithmetic is independent of its neighbours, so results
+are reproducible bit for bit whether chunks run serially or across
+threads. The scalar solver below (compiled with numba when it is
 installed) handles single solves such as the final refit.
 """
 
@@ -47,6 +56,13 @@ _COLLINEAR_TOL = 1e-14
 # scoring arrays; being fixed, not per thread, it keeps chunk boundaries
 # independent of the thread count.
 _HYPOTHESIS_CHUNK = 128
+# Unit roundoff of float64, and the relative and absolute (radian) widening
+# of the inlier angle in the scoring prefilter; see _score_hypotheses.
+_U = 2.0 ** -53
+_PREFILTER_MARGIN = 1e-12
+# Share of a chunk's pairs above which scoring takes the exact residual of
+# every pair instead of gathering the prefilter's survivors.
+_DENSE_SHARE = 0.25
 
 
 class DegenerateConfigError(ValueError):
@@ -718,6 +734,105 @@ def _solve_epnp_batch(pts, brs, bases):
 
 
 # ---------------------------------------------------------------------------
+# Hypothesis scoring: a conservative GEMM prefilter, then the exact residual
+# ---------------------------------------------------------------------------
+
+
+def _lift_points(pts, brs):
+    """Per-call operands of :func:`_score_hypotheses`.
+
+    The points are centred on their mean so that the prefilter's rounding
+    scales with the frame's spread, not with the map's coordinates. Returns
+    (mean, dot_rows (12, n), norm_rows (5, n), p_max, q_max): dot_rows holds
+    the lifted q_k b_i (k major) and b; norm_rows holds q, ones and |q|^2.
+    """
+    mean = pts.mean(axis=0)
+    q = pts - mean
+    lifted = (q[:, :, None] * brs[:, None, :]).reshape(-1, 9)
+    dot_rows = np.ascontiguousarray(np.concatenate([lifted, brs], axis=1).T)
+    q_sq = np.sum(q * q, axis=1)
+    norm_rows = np.ascontiguousarray(
+        np.concatenate([q, np.ones((len(q), 1)), q_sq[:, None]], axis=1).T)
+    p_max = max(math.sqrt(np.sum(pts * pts, axis=1).max()), math.sqrt(mean @ mean))
+    return mean, dot_rows, norm_rows, p_max, math.sqrt(q_sq.max())
+
+
+def _score_hypotheses(rot, t, pts, brs, lift, threshold_deg):
+    """(counts, sums) of ``residual < threshold_deg`` per pose in a stack.
+
+    Step 1 keeps a (pose, point) pair only if two GEMMs over the lifted
+    points say it may lie within the threshold; step 2 takes the exact
+    residual of :func:`_residuals_numpy` for the kept pairs only, so the
+    exact test decides every inlier. Step 1 never drops a pair that step 2
+    would accept.
+
+    Why, with u = 2**-53, g = p R + t the camera-frame point in exact
+    arithmetic and G its rounded value in step 2. For a pose, let
+    s = 1 + dev bound the norm of R (dev >= |R R^T - I|), P >= |p|, |mean|,
+    Q >= |q|, T = |t|, and let t_c = mean R + t (rounded) be the
+    translation for centred points, g' = q R + t_c and span = s Q + |t_c|
+    >= |g'|.
+      1. |G - g| <= sqrt(3) * gamma_4 * (s P + T) <= E1 = 8u (s P + T).
+      2. res = degrees(arctan2(|G x b|, G . b)) < theta means the angle
+         between G and b is below theta1 = theta (1 + 4u) + 8u (radians):
+         the cross and dot products are off by at most 6.2u |G| |b|, and
+         arctan2 and the degree conversion by a few ulps.
+      3. Then g . b >= |b| (cos(theta1) |g| - 2 E1).
+      4. |g' - g| <= u s Q + E1 (rounding of q and t_c), and the dot GEMM
+         returns d = g' . b within 32u span. So with a = |b| cos(theta1) |g|
+         and eta = 3 E1 + 33u span, d >= a - eta, which gives
+         d |d| >= a^2 - 2 a eta - eta^2 >= a^2 - eta (2 span + 3 eta).
+      5. The norm GEMM returns m ~ kappa |g'|^2 - sigma, using
+         |q R|^2 = |q|^2 within dev Q^2 and other rounding within 21u
+         span^2. Also |g|^2 >= |g'|^2 - 2 span (u span + E1). With
+         sigma = 2 ((dev + 32u) span^2 + 2 span (u span + E1)
+                    + eta (2 span + 3 eta))
+         and kappa = (1 - M) cos^2(theta (1 + M) + M) <= (1 - 6u) cos^2(theta1)
+         (M = _PREFILTER_MARGIN >> u; 1 - 6u bounds |b|^2 from below, as
+         Correspondences normalizes the bearings),
+         every pair that step 2 accepts has d |d| >= m.
+    sigma is an absolute bound: it lets points next to a camera centre,
+    whose exact residual is rounding noise, through to step 2. A threshold
+    within M of 90 degrees keeps every pair.
+    """
+    mean, dot_rows, norm_rows, p_max, q_max = lift
+    h = rot.shape[0]
+    t_c = np.matmul(mean, rot) + t
+    t_c_norm = np.sqrt(np.sum(t_c * t_c, axis=1))
+    drift = np.linalg.norm(np.matmul(rot, np.swapaxes(rot, 1, 2)) - np.eye(3), axis=(1, 2))
+    dev = drift + 16 * _U * (1.0 + drift)
+    span = (1.0 + dev) * q_max + t_c_norm
+    e1 = 8 * _U * ((1.0 + dev) * p_max + np.sqrt(np.sum(t * t, axis=1)))
+    eta = 3 * e1 + 33 * _U * span
+    sigma = 2 * ((dev + 32 * _U) * span ** 2 + 2 * span * (_U * span + e1)
+                 + eta * (2 * span + 3 * eta))
+
+    theta = math.radians(threshold_deg) * (1 + _PREFILTER_MARGIN) + _PREFILTER_MARGIN
+    if theta < math.pi / 2:
+        kappa = (1 - _PREFILTER_MARGIN) * math.cos(theta) ** 2
+        dot = np.concatenate([rot.reshape(h, 9), t_c], axis=1) @ dot_rows
+        r_tc = np.matmul(rot, t_c[:, :, None])[:, :, 0]
+        norm = np.concatenate([2 * kappa * r_tc, (kappa * t_c_norm ** 2 - sigma)[:, None],
+                               np.full((h, 1), kappa)], axis=1) @ norm_rows
+        keep = dot * np.abs(dot) >= norm
+    else:
+        keep = np.ones((h, pts.shape[0]), dtype=np.bool_)
+
+    if np.count_nonzero(keep) > _DENSE_SHARE * keep.size:
+        # most pairs survive (clean data): residuals for the whole chunk cost
+        # less than gathering the survivors' operands
+        res = _residuals_numpy(rot, t, pts, brs)
+        hh, jj = np.nonzero(res < threshold_deg)
+        res = res[hh, jj]
+    else:
+        hh, jj = np.nonzero(keep)
+        res = _residuals_numpy(rot[hh], t[hh], pts[jj, None], brs[jj, None])[:, 0]
+        inl = res < threshold_deg
+        hh, res = hh[inl], res[inl]
+    return np.bincount(hh, minlength=h), np.bincount(hh, weights=res, minlength=h)
+
+
+# ---------------------------------------------------------------------------
 # Public API
 # ---------------------------------------------------------------------------
 
@@ -797,6 +912,7 @@ def ransac_pnp(corrs: Correspondences, cfg: RansacConfig = None, threads: int = 
     samples = _draw_samples(cfg.seed, cfg.iterations, n, cfg.min_sample)
 
     bases = _tangent_bases(brs)
+    lift = _lift_points(pts, brs)
     oks = np.zeros(cfg.iterations, dtype=np.bool_)
     counts = np.zeros(cfg.iterations, dtype=np.int64)
     sums = np.zeros(cfg.iterations)
@@ -807,11 +923,10 @@ def ransac_pnp(corrs: Correspondences, cfg: RansacConfig = None, threads: int = 
         hi = min(lo + _HYPOTHESIS_CHUNK, cfg.iterations)
         idx = samples[lo:hi]
         ok, rot, t = _solve_epnp_batch(pts[idx], brs[idx], bases[idx])
-        res = _residuals_numpy(rot, t, pts, brs)
-        inl = res < cfg.inlier_threshold_deg
+        count, total = _score_hypotheses(rot, t, pts, brs, lift, cfg.inlier_threshold_deg)
         oks[lo:hi] = ok
-        counts[lo:hi] = np.where(ok, inl.sum(axis=1), 0)
-        sums[lo:hi] = np.where(ok, np.where(inl, res, 0.0).sum(axis=1), 0.0)
+        counts[lo:hi] = np.where(ok, count, 0)
+        sums[lo:hi] = np.where(ok, total, 0.0)
         rots[lo:hi] = rot
         ts[lo:hi] = t
 

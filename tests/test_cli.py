@@ -119,7 +119,45 @@ class TestDeterminism:
                 assert path.read_bytes() == (threaded / path.name).read_bytes()
 
 
+    def test_rerun_into_the_same_directories(self, tmp_path):
+        # every stage rewrites its outputs in place: same bytes, no leftovers
+        def pipeline():
+            gen, frames, pred = tmp_path / "gen", tmp_path / "frames", tmp_path / "pred"
+            assert run("generate", "--buildings", 6, "--grid", "3x3", "--poses", 2,
+                       "--seed", 6, "--out", gen) == 0
+            assert run("render", "--scene", gen / "scene.json", "--poses", gen / "poses.jsonl",
+                       "--dims", "64x32", "--out", frames) == 0
+            assert run("fit-map", "--frames", frames, "--out", tmp_path / "map" / "map.json") == 0
+            assert run("predict-sim", "--frames", frames, "--map", tmp_path / "map" / "map.json",
+                       "--sigma", 0.1, "--seed", 6, "--out", pred) == 0
+            assert run("localize", "--frames", pred, "--map", tmp_path / "map" / "map.json",
+                       "--iterations", 50, "--seed", 6, "--out", tmp_path / "loc") == 0
+            assert run("evaluate", "--estimates", tmp_path / "loc" / "estimates.jsonl",
+                       "--gt-poses", gen / "poses.jsonl", "--pred-frames", pred,
+                       "--gt-frames", frames, "--out", tmp_path / "eval") == 0
+            return {p.relative_to(tmp_path): p.read_bytes()
+                    for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+
+        first = pipeline()
+        second = pipeline()
+        assert second == first
+        assert not any(p.name.endswith(".tmp") for p in first)
+
+
 class TestErrorHandling:
+    def test_truncated_frame_is_exit_2(self, mini_pipeline, tmp_path, capsys):
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        for pattern in ("*.scrd", "*.lbls"):
+            for path in (mini_pipeline / "pred").glob(pattern):
+                (frames / path.name).write_bytes(path.read_bytes())
+        victim = sorted(frames.glob("*.scrd"))[1]
+        victim.write_bytes(victim.read_bytes()[:-100])
+        assert run("localize", "--frames", frames, "--map", mini_pipeline / "map.json",
+                   "--iterations", 20, "--out", tmp_path / "loc") == 2
+        assert f"{victim}: truncated payload" in capsys.readouterr().err
+
+
     def test_missing_scene_is_exit_2(self, tmp_path):
         assert run("render", "--scene", tmp_path / "nope.json",
                    "--poses", tmp_path / "nope.jsonl", "--out", tmp_path) == 2

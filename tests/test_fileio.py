@@ -57,6 +57,85 @@ class TestLabelFiles:
         assert path.read_bytes().startswith(b"LBLS1\n8 4\n")
 
 
+IMAGE_FORMATS = [
+    (fileio.save_coords, fileio.load_coords, ".scrd",
+     lambda: SceneCoordinateImage(np.arange(8 * 16 * 3, dtype=np.float64).reshape(8, 16, 3)),
+     b"SCRD1\n", b" 3"),
+    (fileio.save_labels, fileio.load_labels, ".lbls",
+     lambda: LabelImage(np.arange(8 * 16, dtype=np.uint32).reshape(8, 16)),
+     b"LBLS1\n", b""),
+]
+
+
+@pytest.mark.parametrize("save, load, suffix, make, magic, tail", IMAGE_FORMATS,
+                         ids=["scrd", "lbls"])
+class TestStrictImageReaders:
+    def test_truncated_payload(self, tmp_path, save, load, suffix, make, magic, tail):
+        path = tmp_path / f"short{suffix}"
+        save(path, make())
+        path.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(ValueError, match=f"short{suffix}.*truncated"):
+            load(path)
+
+    def test_trailing_bytes(self, tmp_path, save, load, suffix, make, magic, tail):
+        path = tmp_path / f"long{suffix}"
+        save(path, make())
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ValueError, match=f"long{suffix}.*1 trailing bytes"):
+            load(path)
+
+    @pytest.mark.parametrize("dims", [b"16 9", b"0 0", b"-16 -8", b"16 x", b"16", b"16 8 3 1"],
+                             ids=["w-not-2h", "zero", "negative", "not-int", "short", "long"])
+    def test_bad_header(self, tmp_path, save, load, suffix, make, magic, tail, dims):
+        path = tmp_path / f"bad{suffix}"
+        path.write_bytes(magic + dims + tail + b"\n" + b"\x00" * 4096)
+        with pytest.raises(ValueError, match=f"bad{suffix}"):
+            load(path)
+
+
+class TestAtomicWrites:
+    def test_rewrite_leaves_same_bytes_and_no_temporary_files(self, tmp_path, rng):
+        scene = generate_city(6, (3, 3), seed=2)
+        points = rng.uniform(-5, 5, (40, 3))
+        labels = np.repeat(np.array([1000, 1001], dtype=np.uint32), 20)
+        writers = {
+            "a.scrd": lambda p: fileio.save_coords(p, IMAGE_FORMATS[0][3]()),
+            "a.lbls": lambda p: fileio.save_labels(p, IMAGE_FORMATS[1][3]()),
+            "map.json": lambda p: fileio.save_instance_map(p, build_instance_map(points, labels)),
+            "scene.json": lambda p: fileio.save_scene(p, scene),
+            "cloud.ply": lambda p: fileio.save_ply(p, points, labels),
+            "est.jsonl": lambda p: fileio.save_estimates_jsonl(p, [("000000", None, 0, 0.0, "x")]),
+        }
+        first = {}
+        for name, write in writers.items():
+            write(tmp_path / name)
+            first[name] = (tmp_path / name).read_bytes()
+        for name, write in writers.items():
+            write(tmp_path / name)
+            assert (tmp_path / name).read_bytes() == first[name]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(writers)
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "out.json"
+        path.write_text("old\n")
+        with pytest.raises(RuntimeError):
+            with fileio.atomic_open(path) as fh:
+                fh.write("partial")
+                raise RuntimeError("interrupted")
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+    def test_rewrite_replaces_the_file_instead_of_truncating_it(self, tmp_path):
+        path = tmp_path / "frame.lbls"
+        fileio.save_labels(path, IMAGE_FORMATS[1][3]())
+        old = path.stat().st_ino
+        with open(path, "rb") as reader:
+            fileio.save_labels(path, LabelImage(np.zeros((8, 16), dtype=np.uint32)))
+            # a reader of the old file still sees all of it
+            assert len(reader.read()) == len(b"LBLS1\n16 8\n") + 8 * 16 * 4
+        assert path.stat().st_ino != old
+
+
 class TestInstanceMapFile:
     def test_round_trip(self, tmp_path, rng):
         pts = np.vstack([rng.normal(size=(50, 3)) * 3.0,

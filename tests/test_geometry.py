@@ -68,6 +68,14 @@ class TestPixelBearing:
         assert grid.shape == (32, 64, 3)
         assert np.allclose(grid[5, 7], pixel_to_bearing(7.0, 5.0, 64, 32))
 
+    def test_image_bearings_cached_read_only(self):
+        grid = image_bearings(64, 32)
+        assert image_bearings(64, 32) is grid
+        assert image_bearings(32, 16) is not grid
+        with pytest.raises(ValueError, match="read-only"):
+            grid[0, 0, 0] = 1.0
+        assert np.allclose(np.linalg.norm(grid, axis=2), 1.0)
+
 
 class TestPose:
     def test_identity_world_to_camera(self):

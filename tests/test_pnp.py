@@ -1,12 +1,14 @@
 import math
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_pose, synthetic_corrs
 from panoloc import pnp
-from panoloc.geometry import Pose, relative_pose_errors
+from panoloc.geometry import Pose, quaternion_to_rotation, relative_pose_errors
 from panoloc.pnp import (Correspondence, Correspondences, DegenerateConfigError,
                          NoConsensusError, PoseEstimate, RansacConfig,
                          _residuals_numpy, _residuals_scalar, angular_residual,
@@ -363,6 +365,166 @@ class TestBatchedMinimalSolver:
                      for lo in range(0, 64, size)]
             for a, pieces in zip(whole, zip(*parts)):
                 assert np.array_equal(a, np.concatenate(pieces))
+
+
+def points_at_angles(pose, angles_deg, depths, rng):
+    """World points and unit bearings that ``pose`` sees ``angles_deg`` apart."""
+    n = len(angles_deg)
+    dirs = rng.normal(size=(n, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    perp = np.cross(dirs, rng.normal(size=(n, 3)))
+    perp /= np.linalg.norm(perp, axis=1, keepdims=True)
+    alpha = np.radians(np.asarray(angles_deg))[:, None]
+    pts = pose.camera_to_world(dirs * np.asarray(depths)[:, None])
+    return pts, np.cos(alpha) * dirs + np.sin(alpha) * perp
+
+
+def exact_scores(rots, ts, corrs, threshold):
+    """Per-pose (count, sum) of residuals below the threshold, one pose at a time."""
+    counts, sums = [], []
+    for rot, t in zip(rots, ts):
+        res = angular_residuals(Pose(rot, t), corrs)
+        inl = res < threshold
+        counts.append(int(inl.sum()))
+        sums.append(float(res[inl].sum()))
+    return np.array(counts), np.array(sums)
+
+
+def prefilter_scores(rots, ts, corrs, threshold, dense_share):
+    """Scores with every chunk taking the exact residual of all its pairs
+    (``dense_share`` 0) or of the prefilter's survivors only (1)."""
+    pts, brs = corrs.world_points, corrs.bearings
+    with mock.patch.object(pnp, "_DENSE_SHARE", dense_share):
+        return pnp._score_hypotheses(rots, ts, pts, brs, pnp._lift_points(pts, brs), threshold)
+
+
+both_paths = pytest.mark.parametrize("dense_share", [0.0, 1.0], ids=["dense", "sparse"])
+
+
+class TestHypothesisScoring:
+    """The GEMM prefilter keeps every pair the exact residual test accepts."""
+
+    @both_paths
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), log_threshold=st.floats(-3.0, math.log10(89.0)),
+           offset=st.floats(0.0, 1e4), spread=st.floats(0.05, 60.0))
+    def test_counts_and_sums_match_exact_residuals(self, seed, log_threshold, offset, spread,
+                                                    dense_share):
+        rng = np.random.default_rng(seed)
+        threshold = 10.0 ** log_threshold
+        direction = rng.normal(size=3)
+        base = offset * direction / np.linalg.norm(direction)
+        poses = []
+        for _ in range(4):
+            rot = quaternion_to_rotation(rng.normal(size=4))
+            poses.append(Pose(rot, -rot.T @ (base + rng.uniform(-spread, spread, 3))))
+        # a pose close to the first, so it too has pairs near the threshold
+        tweak = quaternion_to_rotation(np.r_[1.0, rng.normal(scale=1e-3, size=3)])
+        poses.append(Pose(poses[0].rotation @ tweak, poses[0].translation + 1e-3))
+
+        n_near = 120
+        pts, brs = points_at_angles(poses[0], rng.uniform(0.0, 2.0 * threshold, n_near),
+                                    rng.uniform(0.05, 2.0 * spread, n_near), rng)
+        centres = np.array([pose.camera_center for pose in poses])
+        close = rng.normal(size=(len(poses) * 6, 3))
+        close *= rng.uniform(0.0, 0.01, (len(close), 1)) / np.linalg.norm(close, axis=1,
+                                                                           keepdims=True)
+        extra = np.concatenate([
+            base + rng.uniform(-spread, spread, (60, 3)),  # anywhere in the frame
+            np.repeat(centres, 6, axis=0) + close,         # within 1 cm of a camera centre
+            centres,                                       # at a camera centre
+        ])
+        corrs = Correspondences(np.concatenate([brs, rng.normal(size=extra.shape)]),
+                                np.concatenate([pts, extra]))
+        rots = np.array([pose.rotation for pose in poses])
+        ts = np.array([pose.translation for pose in poses])
+
+        counts, sums = prefilter_scores(rots, ts, corrs, threshold, dense_share)
+        want_counts, want_sums = exact_scores(rots, ts, corrs, threshold)
+        assert np.array_equal(counts, want_counts)
+        assert np.allclose(sums, want_sums, rtol=1e-12, atol=0.0)
+
+    @both_paths
+    @pytest.mark.parametrize("threshold", [1e-3, 0.22, 5.0, 45.0, 89.0])
+    @pytest.mark.parametrize("offset", [0.0, 1e4])
+    def test_pairs_a_nanodegree_from_the_threshold(self, threshold, offset, dense_share):
+        rng = np.random.default_rng(int(threshold * 1000) + int(offset))
+        rot = quaternion_to_rotation(rng.normal(size=4))
+        pose = Pose(rot, -rot.T @ (offset * np.array([0.6, 0.0, 0.8]) + rng.normal(size=3)))
+        n = 300
+        angles = np.r_[np.full(n, threshold - 1e-9), np.full(n, threshold + 1e-9)]
+        pts, brs = points_at_angles(pose, angles, rng.uniform(2.0, 20.0, 2 * n), rng)
+        corrs = Correspondences(brs, pts)
+        res = angular_residuals(pose, corrs)
+        assert (res[:n] < threshold).all() and (res[n:] >= threshold).all()
+
+        counts, sums = prefilter_scores(pose.rotation[None], pose.translation[None], corrs,
+                                        threshold, dense_share)
+        assert counts[0] == n
+        assert sums[0] == pytest.approx(res[:n].sum(), rel=1e-12)
+
+    @both_paths
+    def test_residual_equal_to_threshold_is_an_outlier(self, rng, dense_share):
+        pose = random_pose(rng)
+        pts, brs = points_at_angles(pose, rng.uniform(1.0, 10.0, 50),
+                                    rng.uniform(2.0, 20.0, 50), rng)
+        corrs = Correspondences(brs, pts)
+        res = angular_residuals(pose, corrs)
+        threshold = float(np.sort(res)[24])
+        counts, sums = prefilter_scores(pose.rotation[None], pose.translation[None], corrs,
+                                        threshold, dense_share)
+        assert (res == threshold).sum() == 1
+        assert counts[0] == (res < threshold).sum() == 24
+        assert sums[0] == pytest.approx(res[res < threshold].sum(), rel=1e-12)
+
+    @both_paths
+    def test_points_at_camera_centres_far_from_the_origin(self, rng, dense_share):
+        # 10 km out, a point at a camera centre is a few 1e-12 m from it after
+        # rounding: its exact residual is noise, often far below 89 degrees
+        poses = []
+        for _ in range(64):
+            rot = quaternion_to_rotation(rng.normal(size=4))
+            centre = np.array([6e3, 1.5, 8e3]) + rng.uniform(-50.0, 50.0, 3)
+            poses.append(Pose(rot, -rot.T @ centre))
+        centres = np.array([pose.camera_center for pose in poses])
+        corrs = Correspondences(rng.normal(size=centres.shape), centres)
+        rots = np.array([pose.rotation for pose in poses])
+        ts = np.array([pose.translation for pose in poses])
+        own = np.arange(len(poses))
+        res = np.array([angular_residuals(pose, corrs) for pose in poses])
+        assert (res[own, own] < 180.0).sum() > 40
+        for threshold in (0.22, 30.0, 89.0):
+            counts, sums = prefilter_scores(rots, ts, corrs, threshold, dense_share)
+            want_counts, want_sums = exact_scores(rots, ts, corrs, threshold)
+            assert np.array_equal(counts, want_counts)
+            assert np.allclose(sums, want_sums, rtol=1e-12, atol=0.0)
+
+    def test_dense_and_sparse_chunks_give_the_same_estimate(self, rng):
+        pose = random_pose(rng)
+        corrs = synthetic_corrs(pose, 300, rng)
+        pts = corrs.world_points.copy()
+        pts[:100] += rng.normal(scale=0.2, size=(100, 3))
+        noisy = Correspondences(corrs.bearings, pts)
+        estimates = []
+        for share in (0.0, 1.0):
+            with mock.patch.object(pnp, "_DENSE_SHARE", share):
+                estimates.append(ransac_pnp(noisy, RansacConfig(iterations=300, seed=5)))
+        assert np.array_equal(estimates[0].pose.rotation, estimates[1].pose.rotation)
+        assert np.array_equal(estimates[0].inlier_indices, estimates[1].inlier_indices)
+
+    @both_paths
+    def test_threshold_next_to_ninety_degrees_scores_every_pair(self, rng, dense_share):
+        # the widened angle would pass 90 degrees; every pair goes to the exact test
+        threshold = 90.0 - 1e-13
+        pose = random_pose(rng)
+        angles = rng.uniform(0.0, 180.0, 200)
+        pts, brs = points_at_angles(pose, angles, rng.uniform(1.0, 30.0, 200), rng)
+        corrs = Correspondences(brs, pts)
+        rots, ts = pose.rotation[None], pose.translation[None]
+        counts, sums = prefilter_scores(rots, ts, corrs, threshold, dense_share)
+        want_counts, want_sums = exact_scores(rots, ts, corrs, threshold)
+        assert counts[0] == want_counts[0] == (angles < 90.0).sum()
+        assert sums[0] == pytest.approx(want_sums[0], rel=1e-12)
 
 
 class TestRansacConfigValidation:
