@@ -9,7 +9,8 @@ with an angular inlier test wraps the minimal solver. Iterations draw
 samples from counter-based generators keyed by (seed, iteration). The
 minimal solves run in numpy on stacked samples, a fixed-size chunk of
 hypotheses at a time, and each chunk is scored against all
-correspondences in two steps. First a prefilter: with the points centred
+correspondences in two steps, a bounded block of hypotheses at a time
+(``_SCORE_PAIRS``). First a prefilter: with the points centred
 on their mean and lifted to q (x) b, one GEMM gives c = g . b for every
 (hypothesis, point) pair and a second gives kappa |g|^2, where g is the
 point in the camera frame and kappa = cos^2 of a slightly widened
@@ -60,9 +61,13 @@ _HYPOTHESIS_CHUNK = 128
 # of the inlier angle in the scoring prefilter; see _score_hypotheses.
 _U = 2.0 ** -53
 _PREFILTER_MARGIN = 1e-12
-# Share of a chunk's pairs above which scoring takes the exact residual of
+# Share of a block's pairs above which scoring takes the exact residual of
 # every pair instead of gathering the prefilter's survivors.
 _DENSE_SHARE = 0.25
+# Most (hypothesis, point) pairs scored at once. A chunk is scored in blocks
+# of whole hypotheses, so the scoring temporaries stay a few MB however
+# many pairs survive the prefilter.
+_SCORE_PAIRS = 2 ** 16
 
 
 class DegenerateConfigError(ValueError):
@@ -794,7 +799,22 @@ def _score_hypotheses(rot, t, pts, brs, lift, threshold_deg):
     sigma is an absolute bound: it lets points next to a camera centre,
     whose exact residual is rounding noise, through to step 2. A threshold
     within M of 90 degrees keeps every pair.
+
+    Both steps run on blocks of at most ``_SCORE_PAIRS`` pairs; every
+    pose's arithmetic is independent of the others in its block.
     """
+    h = rot.shape[0]
+    rows = max(1, _SCORE_PAIRS // pts.shape[0])
+    counts = np.zeros(h, dtype=np.int64)
+    sums = np.zeros(h)
+    for lo in range(0, h, rows):
+        counts[lo:lo + rows], sums[lo:lo + rows] = _score_block(
+            rot[lo:lo + rows], t[lo:lo + rows], pts, brs, lift, threshold_deg)
+    return counts, sums
+
+
+def _score_block(rot, t, pts, brs, lift, threshold_deg):
+    """The two steps of :func:`_score_hypotheses` for one block of poses."""
     mean, dot_rows, norm_rows, p_max, q_max = lift
     h = rot.shape[0]
     t_c = np.matmul(mean, rot) + t
@@ -819,7 +839,7 @@ def _score_hypotheses(rot, t, pts, brs, lift, threshold_deg):
         keep = np.ones((h, pts.shape[0]), dtype=np.bool_)
 
     if np.count_nonzero(keep) > _DENSE_SHARE * keep.size:
-        # most pairs survive (clean data): residuals for the whole chunk cost
+        # most pairs survive (clean data): residuals for the whole block cost
         # less than gathering the survivors' operands
         res = _residuals_numpy(rot, t, pts, brs)
         hh, jj = np.nonzero(res < threshold_deg)

@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -511,6 +512,45 @@ class TestHypothesisScoring:
                 estimates.append(ransac_pnp(noisy, RansacConfig(iterations=300, seed=5)))
         assert np.array_equal(estimates[0].pose.rotation, estimates[1].pose.rotation)
         assert np.array_equal(estimates[0].inlier_indices, estimates[1].inlier_indices)
+
+    @both_paths
+    def test_blocks_of_poses_score_like_one_block(self, rng, dense_share):
+        pose = random_pose(rng)
+        corrs = synthetic_corrs(pose, 400, rng)
+        tweak = quaternion_to_rotation(np.r_[1.0, rng.normal(scale=2e-3, size=3)])
+        poses = [pose, Pose(pose.rotation @ tweak, pose.translation)]
+        poses += [random_pose(rng) for _ in range(5)]
+        rots = np.array([p.rotation for p in poses])
+        ts = np.array([p.translation for p in poses])
+        whole = prefilter_scores(rots, ts, corrs, 0.5, dense_share)
+        assert whole[0][0] == 400 and 0 < whole[0][1] < 400
+        for pairs in (1, 800, 1200):  # 1, 2 and 3 poses a block
+            with mock.patch.object(pnp, "_SCORE_PAIRS", pairs):
+                counts, sums = prefilter_scores(rots, ts, corrs, 0.5, dense_share)
+            assert np.array_equal(counts, whole[0])
+            assert np.array_equal(sums, whole[1])
+
+    @pytest.mark.parametrize("inlier_share", [1.0, 0.2, 0.0])
+    def test_scoring_memory_does_not_grow_with_survivors(self, rng, inlier_share):
+        # a full chunk against 5000 points; scored as one block, its
+        # temporaries took 15 MB with no survivors and 64 MB with all
+        pose = random_pose(rng)
+        corrs = synthetic_corrs(pose, 5000, rng)
+        pts = corrs.world_points.copy()
+        moved = int(5000 * (1.0 - inlier_share))
+        pts[:moved] += rng.normal(scale=1.0, size=(moved, 3))
+        noisy = Correspondences(corrs.bearings, pts)
+        rots = np.repeat(pose.rotation[None], pnp._HYPOTHESIS_CHUNK, axis=0)
+        ts = np.repeat(pose.translation[None], pnp._HYPOTHESIS_CHUNK, axis=0)
+        lift = pnp._lift_points(pts, noisy.bearings)
+        tracemalloc.start()
+        try:
+            counts, _ = pnp._score_hypotheses(rots, ts, pts, noisy.bearings, lift, 0.22)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts[0] >= 5000 - moved
+        assert peak < 10 * 2 ** 20
 
     @both_paths
     def test_threshold_next_to_ninety_degrees_scores_every_pair(self, rng, dense_share):
