@@ -6,11 +6,13 @@ implementations, timed side by side in-process. The single EPnP solve is
 single-source (compiled when numba is enabled), so the pure path is
 measured by re-running this script in a subprocess with
 PANOLOC_DISABLE_NUMBA=1. RANSAC solves its hypotheses in batched numpy in
-both modes; only its final refit goes through the EPnP kernel. Ray
-casting has one numpy implementation and is timed through the public
-``raycast_render``. RANSAC is timed through the public ``ransac_pnp`` on
-500 points and on 5000 points (the localize cap), both with 1000
-iterations and the default inlier threshold.
+both modes (Lambda Twist P3P); only its refits go through the
+EPnP kernel. Ray casting has one numpy implementation and is timed
+through the public ``raycast_render``. RANSAC is timed through the public
+``ransac_pnp`` on 500 points and on 5000 points (the localize cap), both
+with 1000 iterations and the default inlier threshold, and in the shape of
+the pipeline benchmark's noisy-sparse workload: 500 points, 30% outliers,
+4000 iterations, a 0.6 degree threshold.
 
 Usage:
     python benchmarks/bench_kernels.py [--repeats 5] [--rays 131072] ...
@@ -72,6 +74,11 @@ def make_inputs(args):
     ransac_pts[:200] = rng.uniform(-80, 80, (200, 3))
     ransac_corrs = Correspondences(brs[:500], ransac_pts)
 
+    # noisy-sparse: 500 correspondences, 30% outliers
+    sparse_pts = pts[:500].copy()
+    sparse_pts[:150] = rng.uniform(-80, 80, (150, 3))
+    sparse_corrs = Correspondences(brs[:500], sparse_pts)
+
     # the localize cap: 5000 correspondences, 20% outliers
     cap_pts = pts[:5000].copy()
     cap_pts[:1000] = rng.uniform(-80, 80, (1000, 3))
@@ -82,7 +89,7 @@ def make_inputs(args):
         "rot": cam_pose.rotation, "t": cam_pose.translation,
         "pts": pts, "brs": brs,
         "minimal_pts": minimal_pts, "minimal_brs": minimal_brs,
-        "ransac_corrs": ransac_corrs, "cap_corrs": cap_corrs,
+        "ransac_corrs": ransac_corrs, "sparse_corrs": sparse_corrs, "cap_corrs": cap_corrs,
     }
 
 
@@ -116,6 +123,10 @@ def run_benchmarks(args):
         lambda: solver(data["pts"], data["brs"]), args.repeats)
     results[f"ransac_500pts_1000it_{label}"] = best_of(
         lambda: ransac_pnp(data["ransac_corrs"], RansacConfig(seed=1)),
+        max(1, args.repeats // 2))
+    results[f"ransac_500pts_4000it_{label}"] = best_of(
+        lambda: ransac_pnp(data["sparse_corrs"], RansacConfig(
+            iterations=4000, inlier_threshold_deg=0.6, seed=1)),
         max(1, args.repeats // 2))
     results[f"ransac_5000pts_1000it_{label}"] = best_of(
         lambda: ransac_pnp(data["cap_corrs"], RansacConfig(seed=1)),
@@ -159,6 +170,8 @@ def main():
          f"epnp_refit_n{args.points}_numba", f"epnp_refit_n{args.points}_pure"),
         ("ransac 500 pts / 1000 it",
          "ransac_500pts_1000it_numba", "ransac_500pts_1000it_pure"),
+        ("ransac 500 pts / 4000 it",
+         "ransac_500pts_4000it_numba", "ransac_500pts_4000it_pure"),
         ("ransac 5000 pts / 1000 it",
          "ransac_5000pts_1000it_numba", "ransac_5000pts_1000it_pure"),
     ]

@@ -4,8 +4,8 @@ Subcommands: generate, render, fit-map, predict-sim, localize, evaluate.
 Every command is a pure function of (input files, flags, seed); re-running
 writes byte-identical outputs. Flags can also be supplied through a JSON
 config file (top-level keys and/or per-subcommand sections); explicit
-flags win. Exit codes: 0 success, 2 bad input, 3 localisation reached no
-consensus on any frame.
+flags win, and a key that is no flag is bad input. Exit codes: 0 success,
+2 bad input, 3 localisation reached no consensus on any frame.
 """
 
 import argparse
@@ -415,6 +415,13 @@ def build_parser():
 
 
 def _apply_config(argv, subparsers) -> None:
+    """Set defaults from the ``--config`` JSON file, if one is given.
+
+    A top-level key must be a flag of some subcommand and applies to the
+    subcommands that have it; a key that names a subcommand holds a section
+    of that subcommand's flags, which wins over top-level keys. Any other
+    key raises InputError, so a typo is not silently ignored.
+    """
     config_path = None
     for i, arg in enumerate(argv):
         if arg == "--config" and i + 1 < len(argv):
@@ -425,12 +432,28 @@ def _apply_config(argv, subparsers) -> None:
         return
     with open(config_path, "r", encoding="utf-8") as fh:
         config = json.load(fh)
+    if not isinstance(config, dict):
+        raise InputError(f"config {config_path} must hold a JSON object")
+    flags = {name: {action.dest for action in sub._actions} - {"help", "config"}
+             for name, sub in subparsers.items()}
+    shared, sections = {}, {}
+    for key, value in config.items():
+        if key in subparsers:
+            if not isinstance(value, dict):
+                raise InputError(f"section {key!r} of config {config_path} must be a JSON object")
+            for sub_key in value:
+                if sub_key.replace("-", "_") not in flags[key]:
+                    raise InputError(f"unknown key {sub_key!r} in section {key!r} "
+                                     f"of config {config_path}")
+            sections[key] = {k.replace("-", "_"): v for k, v in value.items()}
+        elif any(key.replace("-", "_") in names for names in flags.values()):
+            shared[key.replace("-", "_")] = value
+        else:
+            raise InputError(f"unknown key {key!r} in config {config_path}")
     command = argv[0] if argv and not argv[0].startswith("-") else None
-    merged = {k: v for k, v in config.items() if not isinstance(v, dict)}
-    if command in config and isinstance(config[command], dict):
-        merged.update(config[command])
     if command in subparsers:
-        defaults = {k.replace("-", "_"): v for k, v in merged.items()}
+        defaults = {k: v for k, v in shared.items() if k in flags[command]}
+        defaults.update(sections.get(command, {}))
         subparsers[command].set_defaults(**defaults)
 
 
@@ -441,6 +464,9 @@ def main(argv=None) -> int:
         _apply_config(argv, subparsers)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
+        return 2
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     args = parser.parse_args(argv)
     try:

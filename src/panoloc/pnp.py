@@ -1,29 +1,30 @@
 """Absolute pose from 2D-3D correspondences on a spherical camera.
 
-The solver generalizes the EPnP control-point method to central bearing
-vectors: each bearing contributes two linear constraints by projecting the
-camera-frame point expression onto an orthonormal basis of the plane
-perpendicular to the bearing (panoramas have no single image plane to
-express the classic pinhole constraints in). A deterministic RANSAC loop
-with an angular inlier test wraps the minimal solver. Iterations draw
-samples from counter-based generators keyed by (seed, iteration). The
-minimal solves run in numpy on stacked samples, a fixed-size chunk of
-hypotheses at a time, and each chunk is scored against all
-correspondences in two steps, a bounded block of hypotheses at a time
-(``_SCORE_PAIRS``). First a prefilter: with the points centred
-on their mean and lifted to q (x) b, one GEMM gives c = g . b for every
-(hypothesis, point) pair and a second gives kappa |g|^2, where g is the
-point in the camera frame and kappa = cos^2 of a slightly widened
-threshold angle. It keeps a pair when c |c| >= kappa |g|^2 - sigma, where
-sigma bounds the rounding of both GEMMs and of the exact test. An inlier
-has c >= cos(angle) |g| |b| > 0, so the prefilter never drops one
-(_score_hypotheses derives the bound). Then the exact arctan2 residual is
-taken for the kept pairs only, and ``residual < threshold`` decides every
-inlier as before. Chunk boundaries depend only on the iteration count and
-every hypothesis's arithmetic is independent of its neighbours, so results
-are reproducible bit for bit whether chunks run serially or across
-threads. The scalar solver below (compiled with numba when it is
-installed) handles single solves such as the final refit.
+A deterministic RANSAC loop with an angular inlier test takes its
+hypotheses from Lambda Twist P3P (Persson & Nordberg, ECCV 2018), which
+works on bearing vectors directly. Samples come from one Philox stream
+keyed by the seed. The minimal solves run in numpy on stacked samples, a
+fixed-size chunk of hypotheses at a time: each sample solves on its first
+three points and its other points pick one of the up to four candidate
+poses. Each chunk is scored against all correspondences in two steps, a
+bounded block of hypotheses at a time (``_SCORE_PAIRS``). First a
+prefilter: with the points centred on their mean and lifted to q (x) b,
+one GEMM gives c = g . b for every (hypothesis, point) pair and a second
+gives kappa |g|^2, where g is the point in the camera frame and kappa =
+cos^2 of a slightly widened threshold angle. It keeps a pair when
+c |c| >= kappa |g|^2 - sigma, where sigma bounds the rounding of both
+GEMMs and of the exact test. An inlier has c >= cos(angle) |g| |b| > 0,
+so the prefilter never drops one (_score_hypotheses derives the bound).
+Then the exact arctan2 residual is taken for the kept pairs only, and
+``residual < threshold`` decides every inlier. Chunk boundaries depend
+only on the iteration count and every hypothesis's arithmetic is
+independent of its neighbours, so results are reproducible bit for bit
+whether chunks run serially or across threads. The winner is refit, as
+in LO-RANSAC, on the points within a threshold shrinking to the real one,
+by EPnP (Lepetit et al., IJCV 2009) generalized to bearing vectors, each
+bearing giving two linear constraints in the plane perpendicular to it;
+that scalar solver (compiled with numba when installed) serves
+``epnp_bearing`` and the refit.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -53,10 +54,17 @@ _CENTER_EPS = 1e-12
 # Relative eigenvalue-of-scatter thresholds (squared singular value ratios).
 _PLANAR_TOL = 1e-14
 _COLLINEAR_TOL = 1e-14
-# RANSAC hypotheses solved and scored per batch. It bounds the (chunk, n)
-# scoring arrays; being fixed, not per thread, it keeps chunk boundaries
-# independent of the thread count.
-_HYPOTHESIS_CHUNK = 128
+# RANSAC hypotheses solved and scored per batch: large, as P3P costs numpy
+# call overhead more than arithmetic, yet with solver temporaries of ~1.3 MB.
+# Fixed, not per thread, so chunk boundaries do not depend on the threads.
+_HYPOTHESIS_CHUNK = 512
+# P3P: Newton steps on the cubic's root, Gauss-Newton steps on the depths,
+# and the largest relative error of the point distances they may leave.
+_CUBIC_NEWTON_STEPS = 16
+_P3P_REFINE_STEPS = 5
+_P3P_DISTANCE_TOL = 1e-6
+# Inlier threshold multiples whose points the successive refits solve on.
+_REFIT_WIDENING = (2.0, 1.5, 1.0)
 # Unit roundoff of float64, and the relative and absolute (radian) widening
 # of the inlier angle in the scoring prefilter; see _score_hypotheses.
 _U = 2.0 ** -53
@@ -158,8 +166,8 @@ class PoseEstimate:
 
 
 # ---------------------------------------------------------------------------
-# Scalar kernels (numba-compatible; run as plain Python when acceleration is
-# off). _solve_epnp serves single solves; RANSAC uses the batched twin below.
+# Scalar kernels (numba-compatible; plain Python when acceleration is off)
+# for single solves. RANSAC hypotheses come from the batched P3P solver below.
 # ---------------------------------------------------------------------------
 
 
@@ -206,6 +214,10 @@ def _residuals_numpy(rot, t, pts, brs):
     out = np.degrees(np.arctan2(sin_part, cos_part))
     out[np.sqrt(gx * gx + gy * gy + gz * gz) < _CENTER_EPS] = 180.0
     return out
+
+
+# one pose's residuals: the compiled loop, or the vectorized twin in plain Python
+_residuals = _residuals_scalar if NUMBA_ENABLED else _residuals_numpy
 
 
 @maybe_njit(cache=True, nogil=True)
@@ -547,7 +559,7 @@ def _solve_epnp(pts, brs):
 
         amat, t = _align_control_points(ctrl_w, ctrl_c)
         rot = np.ascontiguousarray(amat.T)
-        res = _residuals_scalar(rot, t, pts, brs)
+        res = _residuals(rot, t, pts, brs)
         mres = res.mean()
         if mres < best_res:
             best_ok = True
@@ -558,184 +570,180 @@ def _solve_epnp(pts, brs):
 
 
 # ---------------------------------------------------------------------------
-# Batched minimal solver (numpy; all RANSAC hypotheses at once)
+# Batched minimal solver: Lambda Twist P3P (numpy; all RANSAC hypotheses at once)
 # ---------------------------------------------------------------------------
 
 
-def _tangent_bases(brs):
-    """(..., 2, 3) orthonormal bases of the planes perpendicular to bearings.
+def _dot(a, b):
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
-    Same construction as :func:`_constraint_normal_matrix`: e1 is built from
-    the axis least aligned with the bearing, e2 = bearing x e1.
+
+def _cross(a, b):
+    return np.stack([a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
+                     a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2],
+                     a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]], axis=-1)
+
+
+def _quadratic_roots(b, c):
+    """Roots of x^2 + b x + c, larger magnitude first (discriminant clamped at 0)."""
+    r1 = -0.5 * (b + np.copysign(np.sqrt(np.maximum(b * b - 4.0 * c, 0.0)), b))
+    return r1, c / r1
+
+
+def _cubic_root(b, c, d):
+    """A real root of x^3 + b x^2 + c x + d, polished by Newton steps.
+
+    With two stationary points Newton starts as in Lambda Twist, left of
+    the local maximum (if positive) or right of the local minimum. A
+    monotonic cubic, y^3 + p y + q about its inflection point (p >= 0),
+    starts from y = -q / (p + |q|^(2/3)), close for small and large |q|.
     """
-    vx, vy, vz = brs[..., 0], brs[..., 1], brs[..., 2]
-    ax, ay, az = np.abs(vx), np.abs(vy), np.abs(vz)
-    zero = np.zeros_like(vx)
-    use_x = (ax <= ay) & (ax <= az)
-    use_y = ~use_x & (ay <= az)
-    e1 = np.where(use_x[..., None], np.stack([zero, -vz, vy], axis=-1),
-                  np.where(use_y[..., None], np.stack([vz, zero, -vx], axis=-1),
-                           np.stack([-vy, vx, zero], axis=-1)))
-    e1 = e1 / np.sqrt(np.sum(e1 * e1, axis=-1, keepdims=True))
-    return np.stack([e1, np.cross(brs, e1)], axis=-2)
+    disc = b * b - 3.0 * c
+    v = np.sqrt(np.maximum(disc, 0.0))
+    t1, t2 = (-b - v) / 3.0, (-b + v) / 3.0
+    k1 = ((t1 + b) * t1 + c) * t1 + d
+    k2 = ((t2 + b) * t2 + c) * t2 + d
+    x0 = -b / 3.0
+    q = ((x0 + b) * x0 + c) * x0 + d
+    r = np.where(disc > 0.0, np.where(k1 > 0.0, t1 - np.sqrt(k1 / v), t2 + np.sqrt(-k2 / v)),
+                 x0 - q / (np.cbrt(q * q) - disc / 3.0))
+    for _ in range(_CUBIC_NEWTON_STEPS):
+        fpx = (3.0 * r + 2.0 * b) * r + c
+        r = r - np.where(fpx != 0.0, (((r + b) * r + c) * r + d) / fpx, 0.0)
+    return r
 
 
-def _solve_normal_eqs_batch(mat, rhs):
-    """Batched :func:`_solve_normal_eqs`: x with mat @ x ~= rhs, (H, r, c)."""
-    cols = mat.shape[-1]
-    # explicit sums: np.matmul by a vector rounds differently for a batch of
-    # one, which would tie a hypothesis's result to its batch
-    gram = np.sum(mat[:, :, :, None] * mat[:, :, None, :], axis=1)
-    proj = np.sum(mat * rhs[:, :, None], axis=1)[..., None]
-    damp = 1e-12 * (np.trace(gram, axis1=-2, axis2=-1) / cols) + 1e-300
-    gram = gram + damp[:, None, None] * np.eye(cols)
-    return np.linalg.solve(gram, proj)[..., 0]
+@np.errstate(all="ignore")
+def _p3p_candidates(pts, brs):
+    """Lambda Twist P3P (Persson & Nordberg, ECCV 2018) on stacked samples.
 
-
-def _init_betas_batch(gram, rho, n_active):
-    """Batched :func:`_init_betas` from per-pair Gram blocks (H, npairs, n, n)."""
-    if n_active == 1:
-        d2 = gram[..., 0, 0]
-        num = np.sum(np.sqrt(d2) * np.sqrt(rho), axis=1)
-        den = np.sum(d2, axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(den > 0.0, num / den, 0.0)[:, None]
-
-    if n_active == 4:
-        cols = [gram[..., 0, 0]] + [2.0 * gram[..., 0, b] for b in range(1, 4)]
-        sol = _solve_normal_eqs_batch(np.stack(cols, axis=-1), rho)
-        b1 = np.sqrt(np.abs(sol[:, :1]))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rest = np.where(b1 > 1e-12, sol[:, 1:] / b1, 0.0)
-        return np.concatenate([b1, rest], axis=1)
-
-    # n_active 2 or 3: solve for the products B_ab (a <= b); the diagonal
-    # ones give the magnitudes, the signs of B_0a those of beta_a.
-    cols = []
-    diag = []
-    for a in range(n_active):
-        for b in range(a, n_active):
-            if a == b:
-                diag.append(len(cols))
-            cols.append(gram[..., a, b] if a == b else 2.0 * gram[..., a, b])
-    sol = _solve_normal_eqs_batch(np.stack(cols, axis=-1), rho)
-    beta = np.sqrt(np.abs(sol[:, diag]))
-    first_pos = sol[:, :1] > 0.0
-    beta[:, 1:] *= np.where((sol[:, 1:n_active] > 0.0) != first_pos, -1.0, 1.0)
-    return beta
-
-
-def _refine_betas_batch(gram, beta, rho, iterations):
-    """Batched :func:`_refine_betas` (Gauss-Newton on pair distances)."""
-    out = beta.copy()
-    for _ in range(iterations):
-        gb = np.sum(gram * out[:, None, None, :], axis=-1)
-        jac = 2.0 * gb
-        res = rho - np.sum(gb * out[:, None, :], axis=-1)
-        out += _solve_normal_eqs_batch(jac, res)
-    return out
-
-
-def _align_control_points_batch(ctrl_w, ctrl_c):
-    """Batched :func:`_align_control_points`; returns (R, t), R camera-to-world."""
-    cw = ctrl_w.mean(axis=1)
-    cc = ctrl_c.mean(axis=1)
-    h = np.matmul(np.swapaxes(ctrl_w - cw[:, None], 1, 2), ctrl_c - cc[:, None])
-    u, _, vt = np.linalg.svd(h)
-    v = np.swapaxes(vt, 1, 2)
-    ut = np.swapaxes(u, 1, 2)
-    amat = np.matmul(v, ut)
-    flip = np.linalg.det(amat) < 0.0
-    v[flip, :, 2] = -v[flip, :, 2]
-    amat[flip] = np.matmul(v[flip], ut[flip])
-    t = cc - np.matmul(amat, cw[..., None])[..., 0]
-    return np.swapaxes(amat, 1, 2), t
-
-
-def _solve_epnp_group(pts, brs, bases, mean, evals, evecs, m):
-    """EPnP for H non-degenerate samples that all use ``m`` control points.
-
-    Mirrors the body of :func:`_solve_epnp` after the degeneracy tests.
-    Returns (ok, R, T) with shapes (H,), (H, 3, 3), (H, 3).
+    Solves on the first three points of each (H, k >= 3, 3) sample. Returns
+    (valid, R, T) of shapes (H, 4), (H, 4, 3, 3) and (H, 4, 3): up to four
+    poses per sample, R camera-to-world. Slots that hold no solution are
+    not ``valid`` and may hold NaN. Each sample's arithmetic is elementwise,
+    so its result does not depend on the other samples in the stack.
     """
-    h, k = pts.shape[0], pts.shape[1]
-    ctrl_w = np.empty((h, m, 3))
-    ctrl_w[:, 0] = mean
-    for j in range(m - 1):
-        scale = np.sqrt(evals[:, 2 - j] / k)
-        ctrl_w[:, j + 1] = mean + evecs[:, :, 2 - j] * scale[:, None]
+    x1, x2, x3 = pts[:, 0], pts[:, 1], pts[:, 2]
+    y1, y2, y3 = brs[:, 0], brs[:, 1], brs[:, 2]
+    d12, d13, d23 = x1 - x2, x1 - x3, x2 - x3
+    a12, a13, a23 = _dot(d12, d12), _dot(d13, d13), _dot(d23, d23)
+    c12, c13, c23 = _dot(y1, y2), _dot(y1, y3), _dot(y2, y3)
+    b12, b13, b23 = -2.0 * c12, -2.0 * c13, -2.0 * c23
+    blob = c12 * c23 * c13 - 1.0
+    s12, s13, s23 = 1.0 - c12 * c12, 1.0 - c13 * c13, 1.0 - c23 * c23
 
-    # barycentric coordinates (exact for 4 points; least squares on a plane)
-    a = np.ones((h, 4, m))
-    a[:, :3] = np.swapaxes(ctrl_w, 1, 2)
-    b = np.ones((h, 4, k))
-    b[:, :3] = np.swapaxes(pts, 1, 2)
-    if m == 4:
-        alphas = np.swapaxes(np.linalg.solve(a, b), 1, 2)
-    else:
-        a_t = np.swapaxes(a, 1, 2)
-        alphas = np.swapaxes(np.linalg.solve(np.matmul(a_t, a), np.matmul(a_t, b)), 1, 2)
+    # gamma making D1 - gamma D2 singular, from det(D1 - gamma D2) = 0
+    p3 = a13 * (a23 * s13 - a13 * s23)
+    p2 = 2.0 * blob * a23 * a13 + a13 * (2.0 * a12 + a13) * s23 + a23 * (a23 - a12) * s13
+    p1 = a23 * (a13 - a23) * s12 - a12 * a12 * s23 - 2.0 * a12 * (blob * a23 + a13 * s23)
+    p0 = a12 * (a12 * s23 - a23 * s12)
+    g = _cubic_root(p2 / p3, p1 / p3, p0 / p3)
 
-    # (H, 2k, 3m) tangent-plane constraints, then the null space of M^T M
-    big = (alphas[:, :, None, :, None] * bases[:, :, :, None, :]).reshape(h, 2 * k, 3 * m)
-    _, vecs = np.linalg.eigh(np.matmul(np.swapaxes(big, 1, 2), big))
-    kernel_dim = 2 if m == 3 else 4
-    kernel = vecs[:, :, :kernel_dim].reshape(h, m, 3, kernel_dim)
+    # D0 = D1 - g D2 has a zero eigenvalue; eigenvectors of the other two in
+    # closed form, as (u0, u1, 1) normalized
+    m00, m01, m02 = a23 * (1.0 - g), 0.5 * a23 * b12, -0.5 * a23 * b13 * g
+    m11, m12, m22 = a23 - a12 + a13 * g, 0.5 * b23 * (a13 * g - a12), g * (a13 - a23) - a12
+    e1, e2 = _quadratic_roots(-(m00 + m11 + m22), m00 * m11 + m00 * m22 + m11 * m22
+                              - m01 * m01 - m02 * m02 - m12 * m12)
+    def eigenvector(e):
+        inv = 1.0 / (e * (m00 + m11) - m00 * m11 - e * e + m01 * m01)
+        u0 = -(e * m02 + (m01 * m12 - m02 * m11)) * inv
+        u1 = -(e * m12 + (m01 * m02 - m00 * m12)) * inv
+        norm = 1.0 / np.sqrt(u0 * u0 + u1 * u1 + 1.0)
+        return u0 * norm, u1 * norm, norm
 
-    pi, pj = np.triu_indices(m, 1)
-    rho = np.sum((ctrl_w[:, pi] - ctrl_w[:, pj]) ** 2, axis=-1)
-    diffs = kernel[:, pi] - kernel[:, pj]                     # (H, npairs, 3, kd)
-    gram_full = np.matmul(np.swapaxes(diffs, -1, -2), diffs)  # (H, npairs, kd, kd)
+    (v00, v10, v20), (v01, v11, v21) = eigenvector(e1), eigenvector(e2)
 
-    best_res = np.full(h, np.inf)
-    best_rot = np.zeros((h, 3, 3))
-    best_t = np.zeros((h, 3))
-    for n_active in range(1, kernel_dim + 1):
-        gram = gram_full[..., :n_active, :n_active]
-        beta = _init_betas_batch(gram, rho, n_active)
-        beta = _refine_betas_batch(gram, beta, rho, _GN_ITERATIONS)
+    # lambda_1 = w0 lambda_2 + w1 lambda_3 for s = +-sqrt(-e2 / e1); then a
+    # quadratic in tau = lambda_3 / lambda_2; slots (+s, tau1), (+s, tau2),
+    # (-s, tau1), (-s, tau2)
+    col = (slice(None), None)
+    v = np.sqrt(np.maximum(0.0, -e2 / e1))
+    s = np.stack([v, -v], axis=1)
+    w2 = 1.0 / (s * v01[col] - v00[col])
+    w0 = (v10[col] - s * v11[col]) * w2
+    w1 = (v20[col] - s * v21[col]) * w2
+    a12, a13, a23 = a12[col], a13[col], a23[col]
+    b12, b13, b23 = b12[col], b13[col], b23[col]
+    inv = 1.0 / ((a13 - a12) * w1 * w1 - a12 * b13 * w1 - a12)
+    qb = (a13 * b12 * w1 - a12 * b13 * w0 - 2.0 * w0 * w1 * (a12 - a13)) * inv
+    qc = ((a13 - a12) * w0 * w0 + a13 * b12 * w0 + a13) * inv
+    tau = np.stack(_quadratic_roots(qb, qc), axis=2).reshape(-1, 4)
+    w0, w1 = np.repeat(w0, 2, axis=1), np.repeat(w1, 2, axis=1)
+    den = tau * (b23 + tau) + 1.0
+    l2 = np.sqrt(a23 / den)
+    l3 = tau * l2
+    l1 = w0 * l2 + w1 * l3
+    valid = (np.repeat(qb * qb - 4.0 * qc >= 0.0, 2, axis=1) & (tau > 0.0) & (den > 0.0)
+             & (l1 >= 0.0))
 
-        ctrl_c = np.matmul(kernel[..., :n_active], beta[:, None, :, None])[..., 0]
-        cam = np.matmul(alphas, ctrl_c)
-        flip = np.median(np.sum(cam * brs, axis=-1), axis=1) < 0.0
-        ctrl_c[flip] = -ctrl_c[flip]
+    # Gauss-Newton on the three distance equations; a step that raises the
+    # residual is not taken
+    def residual(l1, l2, l3):
+        return (l1 * l1 + l2 * l2 + b12 * l1 * l2 - a12,
+                l1 * l1 + l3 * l3 + b13 * l1 * l3 - a13,
+                l2 * l2 + l3 * l3 + b23 * l2 * l3 - a23)
 
-        rot, t = _align_control_points_batch(ctrl_w, ctrl_c)
-        mres = _residuals_numpy(rot, t, pts, brs).mean(axis=1)
-        better = mres < best_res
-        best_res = np.where(better, mres, best_res)
-        best_rot[better] = rot[better]
-        best_t[better] = t[better]
-    return np.isfinite(best_res), best_rot, best_t
+    r1, r2, r3 = residual(l1, l2, l3)
+    for _ in range(_P3P_REFINE_STEPS):
+        j11, j12 = 2.0 * l1 + b12 * l2, 2.0 * l2 + b12 * l1
+        j21, j23 = 2.0 * l1 + b13 * l3, 2.0 * l3 + b13 * l1
+        j32, j33 = 2.0 * l2 + b23 * l3, 2.0 * l3 + b23 * l2
+        det = 1.0 / (-j11 * j23 * j32 - j12 * j21 * j33)
+        n1 = l1 - det * (-j23 * j32 * r1 - j12 * j33 * r2 + j12 * j23 * r3)
+        n2 = l2 - det * (-j21 * j33 * r1 + j11 * j33 * r2 - j11 * j23 * r3)
+        n3 = l3 - det * (j21 * j32 * r1 - j11 * j32 * r2 - j12 * j21 * r3)
+        q1, q2, q3 = residual(n1, n2, n3)
+        take = np.abs(q1) + np.abs(q2) + np.abs(q3) <= np.abs(r1) + np.abs(r2) + np.abs(r3)
+        l1, l2, l3 = np.where(take, n1, l1), np.where(take, n2, l2), np.where(take, n3, l3)
+        r1, r2, r3 = np.where(take, q1, r1), np.where(take, q2, r2), np.where(take, q3, r3)
+
+    # depths that miss the distances come from roots that hold no solution
+    valid &= ((np.abs(r1) <= _P3P_DISTANCE_TOL * a12) & (np.abs(r2) <= _P3P_DISTANCE_TOL * a13)
+              & (np.abs(r3) <= _P3P_DISTANCE_TOL * a23))
+
+    # R = C W^T with W the orthonormal frame of d12 and n = d12 x d13 and C
+    # that of their images yd1 and yd1 x yd2: Y X^-1 for X = [d12, d13, n]
+    # when the depths are exact, and a rotation to rounding, which keeps the
+    # scoring prefilter tight, when they are not. A cross product of nearly
+    # parallel vectors is off-normal by about u / sin(angle): project again.
+    def frame(first, normal):
+        first = first / np.sqrt(_dot(first, first))[..., None]
+        normal = normal - _dot(normal, first)[..., None] * first
+        normal = normal / np.sqrt(_dot(normal, normal))[..., None]
+        return first, _cross(normal, first), normal
+
+    n = _cross(d12, d13)
+    ry1 = y1[:, None] * l1[..., None]
+    yd1 = ry1 - y2[:, None] * l2[..., None]
+    cam = frame(yd1, _cross(yd1, ry1 - y3[:, None] * l3[..., None]))
+    world = frame(d12, n)
+    # camera-to-world R[j, i] = sum_k W[j, k] C[i, k]
+    rot = sum(w[:, None, :, None] * c[:, :, None, :] for w, c in zip(world, cam))
+    t = ry1 - (x1[:, None, 0, None] * rot[:, :, 0] + x1[:, None, 1, None] * rot[:, :, 1]
+               + x1[:, None, 2, None] * rot[:, :, 2])
+    valid &= (_dot(n, n) > _COLLINEAR_TOL * a12[:, 0] * a13[:, 0])[:, None]
+    return valid, rot, t
 
 
-def _solve_epnp_batch(pts, brs, bases):
-    """Minimal EPnP solves for a stack of samples, all at once.
-
-    ``pts``/``brs`` are (H, k, 3) and ``bases`` the matching (H, k, 2, 3)
-    tangent bases. Applies the collinear and planar tests of
-    :func:`_solve_epnp` per sample; planar samples are solved with three
-    control points, the rest with four. Returns (ok, R, T); ``ok`` is False
-    for degenerate samples.
-    """
-    h = pts.shape[0]
-    mean = pts.mean(axis=1)
-    centered = pts - mean[:, None]
-    evals, evecs = np.linalg.eigh(np.matmul(np.swapaxes(centered, 1, 2), centered))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        spread = evals[:, 2] > 1e-20
-        valid = spread & (evals[:, 1] / evals[:, 2] > _COLLINEAR_TOL)
-        planar = evals[:, 0] / evals[:, 2] <= _PLANAR_TOL
-
-    ok = np.zeros(h, dtype=np.bool_)
-    rots = np.zeros((h, 3, 3))
-    ts = np.zeros((h, 3))
-    for m, group in ((4, valid & ~planar), (3, valid & planar)):
-        idx = np.flatnonzero(group)
-        if idx.size:
-            ok[idx], rots[idx], ts[idx] = _solve_epnp_group(
-                pts[idx], brs[idx], bases[idx], mean[idx], evals[idx], evecs[idx], m)
-    return ok, rots, ts
+@np.errstate(all="ignore")
+def _solve_p3p_batch(pts, brs):
+    """(ok, R, T) for stacked (H, k >= 4, 3) samples: P3P on the first three
+    points, then the candidate with the least summed angular residual over
+    the other k - 3. Where the first three world points are (near-)collinear
+    or no candidate exists, ``ok`` is False and R, T are zero."""
+    valid, rot, t = _p3p_candidates(pts, brs)
+    xs, bs = pts[:, None, 3:], brs[:, None, 3:]
+    g = (xs[..., 0, None] * rot[:, :, None, 0] + xs[..., 1, None] * rot[:, :, None, 1]
+         + xs[..., 2, None] * rot[:, :, None, 2] + t[:, :, None])
+    sin_part = _cross(g, bs)
+    score = np.arctan2(np.sqrt(_dot(sin_part, sin_part)), _dot(g, bs)).sum(axis=2)
+    score = np.where(valid & np.isfinite(score), score, np.inf)
+    best = np.argmin(score, axis=1)
+    rows = np.arange(len(best))
+    ok = np.isfinite(score[rows, best])
+    return (ok, np.where(ok[:, None, None], rot[rows, best], 0.0),
+            np.where(ok[:, None], t[rows, best], 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -885,29 +893,25 @@ def angular_residual(pose: Pose, corr: Correspondence) -> float:
 
 def angular_residuals(pose: Pose, corrs: Correspondences) -> np.ndarray:
     """Batch angular residuals in degrees."""
-    if NUMBA_ENABLED:
-        return _residuals_scalar(pose.rotation, pose.translation,
-                                 corrs.world_points, corrs.bearings)
-    return _residuals_numpy(pose.rotation, pose.translation,
-                            corrs.world_points, corrs.bearings)
+    return _residuals(pose.rotation, pose.translation, corrs.world_points, corrs.bearings)
 
 
 def _draw_samples(seed: int, iterations: int, n: int, k: int) -> np.ndarray:
-    """(iterations, k) distinct-index samples from Philox keyed by (seed, i)."""
+    """(iterations, k) distinct indices in [0, n) from Philox keyed by ``seed``.
+
+    Row i is made from doubles i*k to i*k + k - 1 of one stream, so it
+    depends only on (seed, i, k) and a longer run extends a shorter one row
+    for row. The j-th index is drawn from the n - j points not yet picked,
+    then shifted past the earlier picks in increasing order, so each row is
+    uniform over ordered k-subsets.
+    """
+    u = np.random.Generator(np.random.Philox(key=seed)).random((iterations, k))
     out = np.empty((iterations, k), dtype=np.int64)
-    for it in range(iterations):
-        gen = np.random.Generator(np.random.Philox(key=np.array([seed, it], dtype=np.uint64)))
-        count = 0
-        while count < k:
-            cand = int(gen.integers(0, n))
-            duplicate = False
-            for j in range(count):
-                if out[it, j] == cand:
-                    duplicate = True
-                    break
-            if not duplicate:
-                out[it, count] = cand
-                count += 1
+    for j in range(k):
+        pick = (u[:, j] * (n - j)).astype(np.int64)
+        for earlier in np.sort(out[:, :j], axis=1).T:
+            pick += pick >= earlier
+        out[:, j] = pick
     return out
 
 
@@ -916,10 +920,12 @@ def ransac_pnp(corrs: Correspondences, cfg: RansacConfig = None, threads: int = 
 
     The best model maximizes the inlier count; ties break on lower mean
     inlier residual, then on lower iteration index. With
-    ``cfg.refit_on_inliers`` the winner is re-solved over its inliers and
-    the inlier set recomputed once against the refit pose. ``threads > 1``
-    spreads the hypothesis chunks over a thread pool (numpy releases the GIL
-    in its array loops); the result is bitwise the same for any value.
+    ``cfg.refit_on_inliers`` the winner is re-solved by EPnP over the points
+    within 2, 1.5 and 1 times the threshold in turn, each time from the pose
+    kept so far; a refit is kept only if it has at least as many inliers as
+    that pose. ``threads > 1`` spreads the hypothesis chunks over a thread
+    pool (numpy releases the GIL in its array loops); the result is bitwise
+    the same for any value.
     """
     if cfg is None:
         cfg = RansacConfig()
@@ -931,9 +937,7 @@ def ransac_pnp(corrs: Correspondences, cfg: RansacConfig = None, threads: int = 
     brs = corrs.bearings
     samples = _draw_samples(cfg.seed, cfg.iterations, n, cfg.min_sample)
 
-    bases = _tangent_bases(brs)
     lift = _lift_points(pts, brs)
-    oks = np.zeros(cfg.iterations, dtype=np.bool_)
     counts = np.zeros(cfg.iterations, dtype=np.int64)
     sums = np.zeros(cfg.iterations)
     rots = np.zeros((cfg.iterations, 3, 3))
@@ -942,11 +946,11 @@ def ransac_pnp(corrs: Correspondences, cfg: RansacConfig = None, threads: int = 
     def evaluate(lo):
         hi = min(lo + _HYPOTHESIS_CHUNK, cfg.iterations)
         idx = samples[lo:hi]
-        ok, rot, t = _solve_epnp_batch(pts[idx], brs[idx], bases[idx])
-        count, total = _score_hypotheses(rot, t, pts, brs, lift, cfg.inlier_threshold_deg)
-        oks[lo:hi] = ok
-        counts[lo:hi] = np.where(ok, count, 0)
-        sums[lo:hi] = np.where(ok, total, 0.0)
+        ok, rot, t = _solve_p3p_batch(pts[idx], brs[idx])
+        # samples without a pose are not scored: their zero pose would pass
+        # every pair through the prefilter
+        counts[lo:hi][ok], sums[lo:hi][ok] = _score_hypotheses(
+            rot[ok], t[ok], pts, brs, lift, cfg.inlier_threshold_deg)
         rots[lo:hi] = rot
         ts[lo:hi] = t
 
@@ -959,18 +963,12 @@ def ransac_pnp(corrs: Correspondences, cfg: RansacConfig = None, threads: int = 
         for lo in starts:
             evaluate(lo)
 
-    best_it = -1
-    best_count = 0
-    candidates = np.flatnonzero(oks & (counts > 0))
+    best_effort = None
+    candidates = np.flatnonzero(counts > 0)
     if candidates.size:
         means = sums[candidates] / counts[candidates]
         # most inliers, then lower mean residual, then lower iteration index
-        order = np.lexsort((candidates, means, -counts[candidates]))
-        best_it = int(candidates[order[0]])
-        best_count = int(counts[best_it])
-
-    best_effort = None
-    if best_it >= 0:
+        best_it = int(candidates[np.lexsort((candidates, means, -counts[candidates]))[0]])
         pose = Pose(rots[best_it], ts[best_it])
         res = angular_residuals(pose, corrs)
         inliers = np.flatnonzero(res < cfg.inlier_threshold_deg)
@@ -978,21 +976,23 @@ def ransac_pnp(corrs: Correspondences, cfg: RansacConfig = None, threads: int = 
                                    float(res[inliers].mean()) if inliers.size else 180.0,
                                    cfg.iterations, cfg)
 
-    if best_it < 0 or best_count < cfg.min_sample + 1:
+    if best_effort is None or counts[best_it] < cfg.min_sample + 1:
         raise NoConsensusError(
             f"no model with more than {cfg.min_sample} inliers after {cfg.iterations} iterations",
             estimate=best_effort)
 
+    # LO-RANSAC (Chum et al., DAGM 2003; Lebeda et al., BMVC 2012): a refit is
+    # kept only if it loses no inliers at the real threshold
     estimate = best_effort
-    if cfg.refit_on_inliers and estimate.inlier_indices.size >= 4:
-        try:
-            refit = epnp_bearing(corrs.subset(estimate.inlier_indices))
-        except DegenerateConfigError:
-            refit = None
-        if refit is not None:
-            res = angular_residuals(refit, corrs)
-            inliers = np.flatnonzero(res < cfg.inlier_threshold_deg)
-            if inliers.size:
-                estimate = PoseEstimate(refit, inliers, float(res[inliers].mean()),
-                                        cfg.iterations, cfg)
+    for widen in _REFIT_WIDENING if cfg.refit_on_inliers else ():
+        near = np.flatnonzero(res < widen * cfg.inlier_threshold_deg)
+        try:  # fewer than 4 points, or degenerate ones
+            refit = epnp_bearing(corrs.subset(near))
+        except ValueError:
+            continue
+        refit_res = angular_residuals(refit, corrs)
+        inliers = np.flatnonzero(refit_res < cfg.inlier_threshold_deg)
+        if inliers.size >= estimate.inlier_indices.size:
+            res = refit_res
+            estimate = PoseEstimate(refit, inliers, float(res[inliers].mean()), cfg.iterations, cfg)
     return estimate

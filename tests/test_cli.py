@@ -236,6 +236,33 @@ class TestConfigFile:
         assert run("generate", "--config", tmp_path / "none.json",
                    "--buildings", 2, "--out", tmp_path) == 2
 
+    @pytest.mark.parametrize("body, key", [
+        ({"iteratoins": 5}, "'iteratoins'"),
+        ({"localize": {"iteratoins": 5}}, "'iteratoins'"),
+        ({"generate": {"iterations": 5}}, "'iterations'"),  # a flag of another subcommand
+        ({"localise": {"iterations": 5}}, "'localise'"),
+        ({"generate": 5}, "'generate'"),
+        ([{"seed": 1}], "JSON object"),
+    ], ids=["typo", "typo-in-section", "flag-of-another-subcommand", "unknown-section",
+            "section-not-an-object", "not-an-object"])
+    def test_unknown_config_key_is_exit_2(self, tmp_path, capsys, body, key):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(body))
+        assert run("generate", "--config", config, "--buildings", 2, "--poses", 1,
+                   "--out", tmp_path / "gen") == 2
+        err = capsys.readouterr().err
+        assert key in err and str(config) in err
+        assert not (tmp_path / "gen").exists()
+
+    def test_shared_keys_apply_where_they_are_flags(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 4, "iterations": 50, "generate": {"grid": "3x3"}}))
+        assert run("generate", "--config", config, "--buildings", 2, "--poses", 1,
+                   "--out", tmp_path / "gen") == 0
+        flags = json.loads((tmp_path / "gen" / "generate_meta.json").read_text())["flags"]
+        assert flags["seed"] == 4 and flags["grid"] == "3x3"
+        assert "iterations" not in flags
+
 
 class TestPresets:
     def test_large_preset_counts(self, tmp_path):

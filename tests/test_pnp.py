@@ -1,3 +1,4 @@
+from dataclasses import replace
 import math
 import threading
 import tracemalloc
@@ -5,7 +6,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from scipy.stats import chisquare
 
 from conftest import random_pose, synthetic_corrs
 from panoloc import pnp
@@ -209,7 +211,7 @@ class TestRansac:
         barrier = threading.Barrier(2, timeout=30)
         lock = threading.Lock()
         callers = []
-        real = pnp._solve_epnp_batch
+        real = pnp._solve_p3p_batch
 
         def solve(*args):
             with lock:
@@ -219,7 +221,7 @@ class TestRansac:
                 barrier.wait()
             return real(*args)
 
-        monkeypatch.setattr(pnp, "_solve_epnp_batch", solve)
+        monkeypatch.setattr(pnp, "_solve_p3p_batch", solve)
         pose = random_pose(rng)
         corrs = synthetic_corrs(pose, 100, rng)
         ransac_pnp(corrs, RansacConfig(iterations=3 * pnp._HYPOTHESIS_CHUNK, seed=4),
@@ -243,23 +245,22 @@ class TestRansac:
             assert est.inlier_indices.size == 180
 
     def test_planar_samples_use_batched_three_point_solver(self, rng, monkeypatch):
-        groups = []
-        real = pnp._solve_epnp_group
+        sizes = []
+        real = pnp._solve_p3p_batch
 
-        def group(pts, brs, bases, mean, evals, evecs, m):
-            groups.append((m, pts.shape[0]))
-            return real(pts, brs, bases, mean, evals, evecs, m)
+        def solve(pts, brs):
+            sizes.append(pts.shape[0])
+            return real(pts, brs)
 
         def scalar(*args):
             raise AssertionError("minimal samples must not use the scalar solver")
 
-        monkeypatch.setattr(pnp, "_solve_epnp_group", group)
+        monkeypatch.setattr(pnp, "_solve_p3p_batch", solve)
         monkeypatch.setattr(pnp, "_solve_epnp", scalar)
         pose = random_pose(rng)
         corrs = synthetic_corrs(pose, 100, rng, planar=True)
         est = ransac_pnp(corrs, RansacConfig(iterations=200, seed=6, refit_on_inliers=False))
-        assert {m for m, _ in groups} == {3}
-        assert sum(size for _, size in groups) == 200
+        assert sum(sizes) == 200
         dist, angle = relative_pose_errors(est.pose, pose)
         assert dist < 1e-4 and angle < 0.01
 
@@ -297,6 +298,41 @@ class TestRansac:
         dist, angle = relative_pose_errors(est.pose, pose)
         assert dist < 1e-4 and angle < 0.01
 
+    def test_refit_that_loses_inliers_is_dropped(self, rng, monkeypatch):
+        pose = random_pose(rng)
+        corrs = synthetic_corrs(pose, 80, rng)
+        cfg = RansacConfig(iterations=50, seed=5)
+        hypothesis = ransac_pnp(corrs, replace(cfg, refit_on_inliers=False))
+        # 5 cm off: far points stay inliers, near ones do not
+        worse = Pose(pose.rotation, pose.translation + 0.05)
+        assert 0 < (angular_residuals(worse, corrs) < cfg.inlier_threshold_deg).sum() < 80
+        monkeypatch.setattr(pnp, "epnp_bearing", lambda subset: worse)
+        est = ransac_pnp(corrs, cfg)
+        assert np.array_equal(est.pose.rotation, hypothesis.pose.rotation)
+        assert np.array_equal(est.pose.translation, hypothesis.pose.translation)
+        assert np.array_equal(est.inlier_indices, hypothesis.inlier_indices)
+
+    def test_refits_solve_within_a_shrinking_threshold(self, rng, monkeypatch):
+        # the first refit sees the points within twice the threshold of the
+        # winning hypothesis; no kept refit loses inliers
+        pose = random_pose(rng)
+        base = synthetic_corrs(pose, 300, rng, depth=(10.0, 50.0))
+        noisy = Correspondences(base.bearings,
+                                base.world_points + rng.normal(scale=0.1, size=(300, 3)))
+        cfg = RansacConfig(iterations=200, seed=7, inlier_threshold_deg=0.3)
+        hypothesis = ransac_pnp(noisy, replace(cfg, refit_on_inliers=False))
+        sizes = []
+        solve = pnp.epnp_bearing
+        monkeypatch.setattr(pnp, "epnp_bearing",
+                            lambda subset: sizes.append(len(subset)) or solve(subset))
+        est = ransac_pnp(noisy, cfg)
+        near = angular_residuals(hypothesis.pose, noisy) < 2 * cfg.inlier_threshold_deg
+        assert len(sizes) == 3
+        assert sizes[0] == near.sum() > hypothesis.inlier_indices.size
+        assert est.inlier_indices.size >= hypothesis.inlier_indices.size
+        dist = relative_pose_errors(est.pose, pose)[0]
+        assert dist < relative_pose_errors(hypothesis.pose, pose)[0]
+
     def test_noise_degrades_continuously(self, rng):
         pose = random_pose(rng)
         base = synthetic_corrs(pose, 200, rng, depth=(10.0, 50.0))
@@ -312,60 +348,123 @@ class TestRansac:
         assert errors[2] < 1.0  # no catastrophic flip
 
 
+def well_conditioned(pts, brs):
+    """First three points span a triangle that is no sliver, seen at least
+    a degree apart."""
+    sides = pts[[0, 0, 1]] - pts[[1, 2, 2]]
+    area2 = np.linalg.norm(np.cross(sides[0], sides[1]))
+    cosines = np.sum(brs[[0, 0, 1]] * brs[[1, 2, 2]], axis=1)
+    return (area2 >= 0.05 * np.max(np.sum(sides * sides, axis=1))
+            and cosines.max() <= math.cos(math.radians(1.0)))
+
+
 class TestBatchedMinimalSolver:
     @staticmethod
     def stack(samples):
-        pts = np.array([c.world_points for c in samples])
-        brs = np.array([c.bearings for c in samples])
-        return pts, brs, pnp._tangent_bases(brs)
+        return (np.array([c.world_points for c in samples]),
+                np.array([c.bearings for c in samples]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_points=st.sampled_from([3, 4]),
+           planar=st.booleans(), depths=st.tuples(st.floats(1.0, 200.0), st.floats(1.0, 200.0)))
+    def test_one_candidate_reproduces_the_sample(self, seed, n_points, planar, depths):
+        rng = np.random.default_rng(seed)
+        rot = quaternion_to_rotation(rng.normal(size=4))
+        pose = Pose(rot, -rot.T @ rng.uniform(-100.0, 100.0, 3))
+        dirs = rng.normal(size=(n_points, 3))
+        cam = dirs / np.linalg.norm(dirs, axis=1, keepdims=True) \
+            * rng.uniform(*sorted(depths), (n_points, 1))
+        if planar and n_points == 4:
+            # the fourth point on the plane of the first three
+            a, b = rng.uniform(-0.5, 1.5, 2)
+            cam[3] = cam[0] + a * (cam[1] - cam[0]) + b * (cam[2] - cam[0])
+            assume(1.0 <= np.linalg.norm(cam[3]) <= 200.0)
+        pts = pose.camera_to_world(cam)
+        brs = cam / np.linalg.norm(cam, axis=1, keepdims=True)
+        assume(well_conditioned(pts, brs))
+
+        valid, rots, ts = pnp._p3p_candidates(pts[None], brs[None])
+        assert valid[0].any()
+        res = _residuals_numpy(rots[0, valid[0]], ts[0, valid[0]], pts, brs)
+        assert res.max(axis=1).min() < 1e-6
 
     def test_collinear_samples_flagged_degenerate(self, rng):
+        # all four points on a line, or only the first three
         samples, collinear = [], []
-        for i in range(30):
+        for i in range(40):
             pose = random_pose(rng)
-            if i % 3 == 0:
-                direction = rng.normal(size=3)
-                pts = pose.camera_center + rng.normal(size=3) * 5.0 \
-                    + rng.uniform(1, 9, (4, 1)) * direction
-                cam = pose.world_to_camera(pts)
-                samples.append(Correspondences(cam, pts))
-            else:
-                samples.append(synthetic_corrs(pose, 4, rng, planar=i % 3 == 1))
-            collinear.append(i % 3 == 0)
-        ok, _, _ = pnp._solve_epnp_batch(*self.stack(samples))
+            corrs = synthetic_corrs(pose, 4, rng, planar=i % 4 == 1)
+            if i % 4 in (0, 3):
+                pts = corrs.world_points.copy()
+                on_line = 4 if i % 4 == 0 else 3
+                pts[:on_line] = pose.camera_center + rng.normal(size=3) * 5.0 \
+                    + rng.uniform(1, 9, (on_line, 1)) * rng.normal(size=3)
+                corrs = Correspondences(pose.world_to_camera(pts), pts)
+            samples.append(corrs)
+            collinear.append(i % 4 in (0, 3))
+        ok, rots, ts = pnp._solve_p3p_batch(*self.stack(samples))
         assert np.array_equal(ok, ~np.array(collinear))
+        assert not rots[~ok].any() and not ts[~ok].any()
 
     def test_solutions_reproject_their_samples(self, rng):
-        # minimal EPnP is not exact on every sample; it must be on most, and
-        # every accepted solution is a proper rotation
-        for planar in (False, True):
-            samples = [synthetic_corrs(random_pose(rng), 4, rng, planar=planar)
-                       for _ in range(200)]
-            pts, brs, bases = self.stack(samples)
-            ok, rots, ts = pnp._solve_epnp_batch(pts, brs, bases)
+        # on noiseless samples at least 99.9% give the exact pose, also when
+        # more than one point picks the candidate; every solution is a
+        # proper rotation
+        for planar, k in ((False, 4), (True, 4), (False, 6)):
+            samples = [synthetic_corrs(random_pose(rng), k, rng, planar=planar)
+                       for _ in range(1000)]
+            pts, brs = self.stack(samples)
+            ok, rots, ts = pnp._solve_p3p_batch(pts, brs)
             assert ok.all()
-            assert np.abs(rots @ np.swapaxes(rots, 1, 2) - np.eye(3)).max() < 1e-9
+            exact = _residuals_numpy(rots, ts, pts, brs).max(axis=1) < 1e-6
+            assert exact.mean() >= 0.999
+            # proper rotations, orthonormal to rounding, which keeps the
+            # scoring prefilter tight
+            assert np.abs(rots @ np.swapaxes(rots, 1, 2) - np.eye(3)).max() < 1e-12
             assert np.allclose(np.linalg.det(rots), 1.0)
-            res = pnp._residuals_numpy(rots, ts, pts, brs)
-            assert (res.max(axis=1) < 1e-6).mean() > 0.4
 
     def test_batch_members_independent_of_neighbours(self, rng):
-        # each sample's solution is bitwise the same whatever batch it is in,
-        # down to a batch of one
+        # each sample's candidates and solution are bitwise the same whatever
+        # batch it is in, down to a batch of one
         pose = random_pose(rng)
         corrs = synthetic_corrs(pose, 100, rng)
         pts = corrs.world_points.copy()
         pts[:30] = rng.uniform(-40, 40, (30, 3))
         idx = pnp._draw_samples(3, 64, 100, 4)
         pts, brs = pts[idx], corrs.bearings[idx]
-        bases = pnp._tangent_bases(brs)
-        whole = pnp._solve_epnp_batch(pts, brs, bases)
-        for size in (1, 7, 32):
-            parts = [pnp._solve_epnp_batch(pts[lo:lo + size], brs[lo:lo + size],
-                                           bases[lo:lo + size])
-                     for lo in range(0, 64, size)]
-            for a, pieces in zip(whole, zip(*parts)):
-                assert np.array_equal(a, np.concatenate(pieces))
+        pts[5, 2] = 0.5 * (pts[5, 0] + pts[5, 1])  # one collinear sample
+        for solve in (pnp._p3p_candidates, pnp._solve_p3p_batch):
+            whole = solve(pts, brs)
+            for size in (1, 7, 64):
+                parts = [solve(pts[lo:lo + size], brs[lo:lo + size])
+                         for lo in range(0, 64, size)]
+                for a, pieces in zip(whole, zip(*parts)):
+                    assert np.array_equal(a, np.concatenate(pieces), equal_nan=True)
+        assert not whole[0][5] and whole[0].sum() > 10
+
+
+class TestSampleDraws:
+    def test_indices_distinct_and_in_range(self):
+        for n, k in ((4, 4), (5, 4), (500, 4), (9, 6)):
+            samples = pnp._draw_samples(7, 3000, n, k)
+            assert samples.shape == (3000, k)
+            assert samples.min() == 0 and samples.max() == n - 1
+            assert (np.diff(np.sort(samples, axis=1), axis=1) > 0).all()
+
+    def test_longer_runs_extend_shorter_ones(self):
+        short = pnp._draw_samples(5, 10, 500, 4)
+        assert np.array_equal(short, pnp._draw_samples(5, 1000, 500, 4)[:10])
+        assert not np.array_equal(short, pnp._draw_samples(6, 10, 500, 4))
+
+    def test_rows_uniform_over_ordered_subsets(self):
+        n, k = 6, 3
+        samples = pnp._draw_samples(11, 120_000, n, k)
+        counts = np.bincount((samples[:, 0] * n + samples[:, 1]) * n + samples[:, 2],
+                             minlength=n ** k)
+        cells = np.array([len({a, b, c}) == 3 for a in range(n) for b in range(n)
+                          for c in range(n)])
+        assert counts[~cells].sum() == 0
+        assert chisquare(counts[cells]).pvalue > 1e-4
 
 
 def points_at_angles(pose, angles_deg, depths, rng):
