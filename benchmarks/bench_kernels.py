@@ -1,38 +1,32 @@
 #!/usr/bin/env python3
-"""Benchmark the hot kernels on both execution paths.
+"""Benchmark the hot kernels, each timed as the best of a few repeats.
 
-Batch angular residuals have separate numba and vectorized-numpy
-implementations, timed side by side in-process. The single EPnP solve is
-single-source (compiled when numba is enabled), so the pure path is
-measured by re-running this script in a subprocess with
-PANOLOC_DISABLE_NUMBA=1. RANSAC solves its hypotheses in batched numpy in
-both modes (Lambda Twist P3P); only its refits go through the
-EPnP kernel. Ray casting has one numpy implementation and is timed
-through the public ``raycast_render``. RANSAC is timed through the public
-``ransac_pnp`` on 500 points and on 5000 points (the localize cap), both
-with 1000 iterations and the default inlier threshold, and in the shape of
-the pipeline benchmark's noisy-sparse workload: 500 points, 30% outliers,
-4000 iterations, a 0.6 degree threshold.
+Every kernel has one numpy implementation. Ray casting is timed through
+the public ``raycast_render``. The EPnP solve that serves ``epnp_bearing``
+and the RANSAC refits is timed on 4 points (many solves) and, as a refit,
+on 900, 2700 and 20000 points (the consensus sets of the pipeline
+benchmark's city frames span that range) and on ``--points``. RANSAC is
+timed through the public ``ransac_pnp`` on 500 points and on 5000 points
+(the localize cap), both with 1000 iterations and the default inlier
+threshold, and in the shape of the pipeline benchmark's noisy-sparse
+workload: 500 points, 30% outliers, 4000 iterations, a 0.6 degree
+threshold.
 
 Usage:
     python benchmarks/bench_kernels.py [--repeats 5] [--rays 131072] ...
 """
 
 import argparse
-import json
-import os
-import subprocess
-import sys
 import time
 
 import numpy as np
 
-from panoloc._accel import ACCEL_MODE, NUMBA_ENABLED
 from panoloc.geometry import quaternion_to_rotation, Pose
-from panoloc.pnp import (Correspondences, RansacConfig, _residuals_numpy,
-                         _residuals_scalar, _solve_epnp, ransac_pnp)
+from panoloc.pnp import Correspondences, RansacConfig, _residuals, _solve_epnp, ransac_pnp
 from panoloc.scene_sim import (LARGE_CITY, SMALL_CITY, generate_city, raycast_render,
                                sample_trajectory)
+
+REFIT_POINTS = (900, 2700, 20_000)
 
 
 def best_of(fn, repeats):
@@ -60,15 +54,13 @@ def make_inputs(args):
     rot = quaternion_to_rotation(rng.normal(size=4))
     cam_pose = Pose(rot, -rot.T @ rng.uniform(-20, 20, 3))
     center = cam_pose.camera_center
-    ray_dirs = rng.normal(size=(args.points, 3))
+    n = max(args.points, *REFIT_POINTS)
+    ray_dirs = rng.normal(size=(n, 3))
     ray_dirs /= np.linalg.norm(ray_dirs, axis=1, keepdims=True)
-    pts = center + ray_dirs * rng.uniform(2, 50, (args.points, 1))
+    pts = center + ray_dirs * rng.uniform(2, 50, (n, 1))
     cam = cam_pose.world_to_camera(pts)
     brs = np.ascontiguousarray(cam / np.linalg.norm(cam, axis=1, keepdims=True))
     pts = np.ascontiguousarray(pts)
-
-    minimal_pts = np.ascontiguousarray(pts[:4])
-    minimal_brs = np.ascontiguousarray(brs[:4])
 
     ransac_pts = pts[:500].copy()
     ransac_pts[:200] = rng.uniform(-80, 80, (200, 3))
@@ -87,51 +79,42 @@ def make_inputs(args):
     return {
         "scene": scene, "pose": pose, "dims": (2 * height, height),
         "rot": cam_pose.rotation, "t": cam_pose.translation,
-        "pts": pts, "brs": brs,
-        "minimal_pts": minimal_pts, "minimal_brs": minimal_brs,
+        "pts": pts[:args.points], "brs": brs[:args.points], "pool": (pts, brs),
         "ransac_corrs": ransac_corrs, "sparse_corrs": sparse_corrs, "cap_corrs": cap_corrs,
     }
 
 
 def run_benchmarks(args):
+    """(name, seconds) rows in print order."""
     data = make_inputs(args)
-    results = {}
-
-    # one implementation in every mode
-    results["raycast_numpy"] = best_of(
-        lambda: raycast_render(data["scene"], data["pose"], data["dims"]), args.repeats)
-
-    # dual-implementation kernels: both paths measured directly
-    if NUMBA_ENABLED:
-        results["residuals_numba"] = best_of(
-            lambda: _residuals_scalar(data["rot"], data["t"], data["pts"], data["brs"]),
-            args.repeats)
-    results["residuals_numpy"] = best_of(
-        lambda: _residuals_numpy(data["rot"], data["t"], data["pts"], data["brs"]),
-        args.repeats)
-
-    # single-source kernels: timing reflects the active mode
-    solver = _solve_epnp if NUMBA_ENABLED else _solve_epnp.py_func
-    label = "numba" if NUMBA_ENABLED else "pure"
+    pts, brs = data["pool"]
+    height = ray_rows(args)
+    rows = [
+        (f"raycast {2 * height}x{height}, {args.boxes} boxes", best_of(
+            lambda: raycast_render(data["scene"], data["pose"], data["dims"]), args.repeats)),
+        (f"angular residuals n={args.points}", best_of(
+            lambda: _residuals(data["rot"], data["t"], data["pts"], data["brs"]), args.repeats)),
+    ]
 
     def epnp_minimal():
         for _ in range(args.solves):
-            solver(data["minimal_pts"], data["minimal_brs"])
+            _solve_epnp(pts[:4], brs[:4])
 
-    results[f"epnp_minimal_x{args.solves}_{label}"] = best_of(epnp_minimal, args.repeats)
-    results[f"epnp_refit_n{args.points}_{label}"] = best_of(
-        lambda: solver(data["pts"], data["brs"]), args.repeats)
-    results[f"ransac_500pts_1000it_{label}"] = best_of(
-        lambda: ransac_pnp(data["ransac_corrs"], RansacConfig(seed=1)),
-        max(1, args.repeats // 2))
-    results[f"ransac_500pts_4000it_{label}"] = best_of(
-        lambda: ransac_pnp(data["sparse_corrs"], RansacConfig(
-            iterations=4000, inlier_threshold_deg=0.6, seed=1)),
-        max(1, args.repeats // 2))
-    results[f"ransac_5000pts_1000it_{label}"] = best_of(
-        lambda: ransac_pnp(data["cap_corrs"], RansacConfig(seed=1)),
-        max(1, args.repeats // 2))
-    return results
+    rows.append((f"epnp minimal x{args.solves}", best_of(epnp_minimal, args.repeats)))
+    for n in sorted({*REFIT_POINTS, args.points}):
+        rows.append((f"epnp refit n={n}", best_of(
+            lambda: _solve_epnp(pts[:n], brs[:n]), args.repeats)))
+    repeats = max(1, args.repeats // 2)
+    rows += [
+        ("ransac 500 pts / 1000 it", best_of(
+            lambda: ransac_pnp(data["ransac_corrs"], RansacConfig(seed=1)), repeats)),
+        ("ransac 500 pts / 4000 it", best_of(
+            lambda: ransac_pnp(data["sparse_corrs"], RansacConfig(
+                iterations=4000, inlier_threshold_deg=0.6, seed=1)), repeats)),
+        ("ransac 5000 pts / 1000 it", best_of(
+            lambda: ransac_pnp(data["cap_corrs"], RansacConfig(seed=1)), repeats)),
+    ]
+    return rows
 
 
 def main():
@@ -141,50 +124,11 @@ def main():
     parser.add_argument("--boxes", type=int, default=102)
     parser.add_argument("--points", type=int, default=100_000)
     parser.add_argument("--solves", type=int, default=200)
-    parser.add_argument("--emit-json", action="store_true",
-                        help="print raw timings as JSON (used by the subprocess)")
     args = parser.parse_args()
 
-    results = run_benchmarks(args)
-    if args.emit_json:
-        print(json.dumps(results))
-        return
-
-    print(f"mode: {'numba' if NUMBA_ENABLED else f'pure numpy ({ACCEL_MODE})'}")
-    if NUMBA_ENABLED:
-        env = dict(os.environ, PANOLOC_DISABLE_NUMBA="1")
-        cmd = [sys.executable, os.path.abspath(__file__), "--emit-json",
-               "--repeats", str(args.repeats), "--rays", str(args.rays),
-               "--boxes", str(args.boxes), "--points", str(args.points),
-               "--solves", str(args.solves)]
-        out = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
-        results.update(json.loads(out.stdout.strip().splitlines()[-1]))
-
-    height = ray_rows(args)
-    pairs = [
-        (f"raycast {2 * height}x{height}, {args.boxes} boxes", None, "raycast_numpy"),
-        ("angular residuals", "residuals_numba", "residuals_numpy"),
-        (f"epnp minimal x{args.solves}",
-         f"epnp_minimal_x{args.solves}_numba", f"epnp_minimal_x{args.solves}_pure"),
-        (f"epnp refit n={args.points}",
-         f"epnp_refit_n{args.points}_numba", f"epnp_refit_n{args.points}_pure"),
-        ("ransac 500 pts / 1000 it",
-         "ransac_500pts_1000it_numba", "ransac_500pts_1000it_pure"),
-        ("ransac 500 pts / 4000 it",
-         "ransac_500pts_4000it_numba", "ransac_500pts_4000it_pure"),
-        ("ransac 5000 pts / 1000 it",
-         "ransac_5000pts_1000it_numba", "ransac_5000pts_1000it_pure"),
-    ]
-    print(f"{'kernel':<28} {'numba (s)':>12} {'numpy (s)':>12} {'speedup':>9}")
-    for name, nb_key, np_key in pairs:
-        nb = results.get(nb_key)
-        pure = results.get(np_key)
-        if nb is None and pure is None:
-            continue
-        nb_s = f"{nb:.5f}" if nb is not None else "-"
-        np_s = f"{pure:.5f}" if pure is not None else "-"
-        speed = f"{pure / nb:8.1f}x" if nb and pure else "-"
-        print(f"{name:<28} {nb_s:>12} {np_s:>12} {speed:>9}")
+    print(f"{'kernel':<32} {'time (s)':>10}")
+    for name, seconds in run_benchmarks(args):
+        print(f"{name:<32} {seconds:>10.5f}")
 
 
 if __name__ == "__main__":

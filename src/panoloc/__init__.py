@@ -2,22 +2,21 @@
 
 Pipeline: generate a synthetic cuboid city, ray-cast per-pixel scene
 coordinates and panoptic labels, fit per-instance whitening transforms,
-simulate predictor noise, estimate 6-DoF poses with bearing-vector EPnP
-inside a deterministic RANSAC loop, and score everything with the
-distance/angle metrics used for localisation benchmarks.
+simulate predictor noise, estimate 6-DoF poses with Lambda Twist P3P
+inside a deterministic RANSAC loop and bearing-vector EPnP refits, and
+score everything with the distance/angle metrics used for localisation
+benchmarks.
 """
 
-from ._accel import NUMBA_ENABLED
 from .geometry import Pose, bearing_to_pixel, image_bearings, pixel_to_bearing, relative_pose_errors
 from .images import LabelImage, SceneCoordinateImage
 from .instance_map import InstanceMap, WhiteningTransform, build_instance_map, fit_whitening, unwhiten, whiten
-from .pnp import Correspondence, Correspondences, PoseEstimate, RansacConfig, angular_residual, epnp_bearing, ransac_pnp
+from .pnp import Correspondences, PoseEstimate, RansacConfig, angular_residuals, epnp_bearing, ransac_pnp
 from .scene_sim import CityScene, Cuboid, NoiseModel, cuboid_approximation, generate_city, raycast_render
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "NUMBA_ENABLED",
     "Pose",
     "pixel_to_bearing",
     "bearing_to_pixel",
@@ -31,12 +30,11 @@ __all__ = [
     "whiten",
     "unwhiten",
     "build_instance_map",
-    "Correspondence",
     "Correspondences",
     "RansacConfig",
     "PoseEstimate",
     "epnp_bearing",
-    "angular_residual",
+    "angular_residuals",
     "ransac_pnp",
     "CityScene",
     "Cuboid",

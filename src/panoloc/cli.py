@@ -300,7 +300,7 @@ def cmd_evaluate(args) -> int:
             if not chunks:
                 continue
             dist = np.concatenate(chunks)
-            report[key] = evaluation._coord_metrics_from_distances(dist, dist.size).as_dict()
+            report[key] = evaluation.coord_metrics(dist, dist.size).as_dict()
             pct = [100.0 * float((dist <= t).sum()) / dist.size for t in _ROC_THRESHOLDS]
             rows.append((key, pct))
         if rows:

@@ -19,6 +19,7 @@ __all__ = [
     "CoordMetrics",
     "PoseMetrics",
     "coord_distances",
+    "coord_metrics",
     "coord_accuracy",
     "pose_metrics",
     "error_curves",
@@ -102,7 +103,11 @@ def coord_distances(pred: SceneCoordinateImage, gt: SceneCoordinateImage,
     return dist, n_valid
 
 
-def _coord_metrics_from_distances(dist: np.ndarray, n_valid: int) -> CoordMetrics:
+def coord_metrics(dist: np.ndarray, n_valid: int) -> CoordMetrics:
+    """Coordinate accuracy from per-pixel distances (see
+    :func:`coord_distances`), pooled over one or more frames."""
+    if n_valid == 0:
+        raise EmptyMetricsError("no overlapping valid pixels to evaluate")
     within3 = dist <= 3.0
     return CoordMetrics(
         pct_within_0_5m=100.0 * float((dist <= 0.5).sum()) / n_valid,
@@ -116,10 +121,7 @@ def _coord_metrics_from_distances(dist: np.ndarray, n_valid: int) -> CoordMetric
 def coord_accuracy(pred: SceneCoordinateImage, gt: SceneCoordinateImage,
                    select: np.ndarray = None) -> CoordMetrics:
     """Fractions of pixels within 0.5/1/3 m plus the mean error within 3 m."""
-    dist, n_valid = coord_distances(pred, gt, select)
-    if n_valid == 0:
-        raise EmptyMetricsError("no overlapping valid pixels to evaluate")
-    return _coord_metrics_from_distances(dist, n_valid)
+    return coord_metrics(*coord_distances(pred, gt, select))
 
 
 def percentile_linear(values, q: float) -> float:

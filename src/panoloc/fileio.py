@@ -16,7 +16,9 @@ They write a temporary file in the target's directory and rename it over
 the target once it is complete, so a reader never sees a partial file and
 re-running a stage never truncates an old output in place. Readers of the
 binary images reject a malformed header, a short payload and trailing
-bytes with a ValueError that names the file.
+bytes with a ValueError that names the file. The instance-map reader does
+the same for malformed JSON, a missing key, a non-finite mean or W, and a
+singular W.
 """
 
 from contextlib import contextmanager
@@ -48,6 +50,9 @@ __all__ = [
     "load_estimates_jsonl",
 ]
 
+# Largest condition number of an instance map's W: beyond it, whitening
+# through the inverse loses more than 1e-4 of the coordinates to rounding.
+_MAX_CONDITION = 1e12
 _COORD_MAGIC = b"SCRD1\n"
 _LABEL_MAGIC = b"LBLS1\n"
 
@@ -148,18 +153,32 @@ def save_instance_map(path, imap: InstanceMap) -> None:
 
 def load_instance_map(path) -> InstanceMap:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    transforms = {}
-    for rec in doc["labels"]:
-        unwhiten_matrix = np.array(rec["W"], dtype=np.float64).reshape(3, 3)
-        transforms[int(rec["id"])] = WhiteningTransform(
-            label=int(rec["id"]),
-            mean=np.array(rec["mean"], dtype=np.float64),
-            unwhiten_matrix=unwhiten_matrix,
-            whiten_matrix=np.linalg.inv(unwhiten_matrix),
-            point_count=int(rec["count"]),
-        )
-    label_count = int(doc.get("label_count", NUM_CLASS_LABELS + len(transforms)))
+        text = fh.read()
+    try:
+        doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("not a JSON object")
+        transforms = {}
+        for rec in doc["labels"]:
+            label = int(rec["id"])
+            mean = np.array(rec["mean"], dtype=np.float64).reshape(3)
+            unwhiten_matrix = np.array(rec["W"], dtype=np.float64).reshape(3, 3)
+            if not (np.isfinite(mean).all() and np.isfinite(unwhiten_matrix).all()):
+                raise ValueError(f"instance {label} has a non-finite mean or W")
+            if not np.linalg.cond(unwhiten_matrix) <= _MAX_CONDITION:
+                raise ValueError(f"instance {label} has a singular W")
+            transforms[label] = WhiteningTransform(
+                label=label,
+                mean=mean,
+                unwhiten_matrix=unwhiten_matrix,
+                whiten_matrix=np.linalg.inv(unwhiten_matrix),
+                point_count=int(rec["count"]),
+            )
+        label_count = int(doc.get("label_count", NUM_CLASS_LABELS + len(transforms)))
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed instance map: {exc}") from None
     return InstanceMap(transforms, label_count)
 
 

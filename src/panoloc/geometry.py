@@ -26,7 +26,6 @@ __all__ = [
     "pixel_to_bearing",
     "bearing_to_pixel",
     "image_bearings",
-    "world_to_camera",
     "relative_pose_errors",
     "rotation_to_quaternion",
     "quaternion_to_rotation",
@@ -149,11 +148,6 @@ def image_bearings(width: int, height: int) -> np.ndarray:
     grid = pixel_to_bearing(uu, vv, width, height)
     grid.flags.writeable = False
     return grid
-
-
-def world_to_camera(pose: Pose, points: np.ndarray) -> np.ndarray:
-    """Module-level alias for :meth:`Pose.world_to_camera`."""
-    return pose.world_to_camera(points)
 
 
 def relative_pose_errors(a: Pose, b: Pose) -> tuple:

@@ -140,10 +140,6 @@ class InstanceMap:
     def instance_labels(self) -> list:
         return sorted(self.transforms)
 
-    def panoptic_labels(self) -> list:
-        """All label ids in channel order: class labels, then instances."""
-        return list(range(NUM_CLASS_LABELS)) + self.instance_labels()
-
     def whiten_image(self, coords: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """Per-pixel whitening under the pixel's label.
 

@@ -22,8 +22,8 @@ independent of its neighbours, so results are reproducible bit for bit
 whether chunks run serially or across threads. The winner is refit, as
 in LO-RANSAC, on the points within a threshold shrinking to the real one,
 by EPnP (Lepetit et al., IJCV 2009) generalized to bearing vectors, each
-bearing giving two linear constraints in the plane perpendicular to it;
-that scalar solver (compiled with numba when installed) serves
+bearing giving two linear constraints in the plane perpendicular to it.
+That solver is plain numpy, with no loop over points, and serves both
 ``epnp_bearing`` and the refit.
 """
 
@@ -33,18 +33,15 @@ import math
 
 import numpy as np
 
-from ._accel import NUMBA_ENABLED, maybe_njit
 from .geometry import Pose
 
 __all__ = [
     "DegenerateConfigError",
     "NoConsensusError",
-    "Correspondence",
     "Correspondences",
     "RansacConfig",
     "PoseEstimate",
     "epnp_bearing",
-    "angular_residual",
     "angular_residuals",
     "ransac_pnp",
 ]
@@ -93,15 +90,6 @@ class NoConsensusError(RuntimeError):
         self.estimate = estimate
 
 
-@dataclass(frozen=True)
-class Correspondence:
-    """One bearing/world-point pair; pixel is provenance only."""
-
-    bearing: np.ndarray
-    world_point: np.ndarray
-    pixel: tuple = None
-
-
 class Correspondences:
     """Array-backed set of correspondences.
 
@@ -119,16 +107,6 @@ class Correspondences:
         self.bearings = b / norms[:, None]
         self.world_points = w
         self.pixels = None if pixels is None else np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
-
-    @classmethod
-    def from_items(cls, items) -> "Correspondences":
-        items = list(items)
-        bearings = np.array([c.bearing for c in items], dtype=np.float64)
-        points = np.array([c.world_point for c in items], dtype=np.float64)
-        pixels = None
-        if items and items[0].pixel is not None:
-            pixels = np.array([c.pixel for c in items], dtype=np.float64)
-        return cls(bearings, points, pixels)
 
     def __len__(self) -> int:
         return self.bearings.shape[0]
@@ -166,41 +144,15 @@ class PoseEstimate:
 
 
 # ---------------------------------------------------------------------------
-# Scalar kernels (numba-compatible; plain Python when acceleration is off)
-# for single solves. RANSAC hypotheses come from the batched P3P solver below.
+# Residuals and EPnP on bearing vectors (Lepetit et al., IJCV 2009)
 # ---------------------------------------------------------------------------
 
 
-@maybe_njit(cache=True, nogil=True)
-def _residuals_scalar(rot, t, pts, brs):
+def _residuals(rot, t, pts, brs):
     """Angular residuals in degrees; R is camera-to-world, t the pose offset.
 
-    atan2(|g x b|, g . b) stays exact near zero where acos saturates.
-    """
-    n = pts.shape[0]
-    out = np.empty(n)
-    for i in range(n):
-        g0 = rot[0, 0] * pts[i, 0] + rot[1, 0] * pts[i, 1] + rot[2, 0] * pts[i, 2] + t[0]
-        g1 = rot[0, 1] * pts[i, 0] + rot[1, 1] * pts[i, 1] + rot[2, 1] * pts[i, 2] + t[1]
-        g2 = rot[0, 2] * pts[i, 0] + rot[1, 2] * pts[i, 1] + rot[2, 2] * pts[i, 2] + t[2]
-        ng = math.sqrt(g0 * g0 + g1 * g1 + g2 * g2)
-        if ng < _CENTER_EPS:
-            out[i] = 180.0
-            continue
-        bx, by, bz = brs[i, 0], brs[i, 1], brs[i, 2]
-        cx = g1 * bz - g2 * by
-        cy = g2 * bx - g0 * bz
-        cz = g0 * by - g1 * bx
-        sin_part = math.sqrt(cx * cx + cy * cy + cz * cz)
-        cos_part = g0 * bx + g1 * by + g2 * bz
-        out[i] = math.degrees(math.atan2(sin_part, cos_part))
-    return out
-
-
-def _residuals_numpy(rot, t, pts, brs):
-    """Vectorized twin of :func:`_residuals_scalar`, also for stacked poses.
-
-    With ``rot`` (H, 3, 3) and ``t`` (H, 3) the result is (H, n); ``pts`` and
+    atan2(|g x b|, g . b) stays exact near zero where acos saturates. With
+    ``rot`` (H, 3, 3) and ``t`` (H, 3) the result is (H, n); ``pts`` and
     ``brs`` are (n, 3), shared by all poses, or (H, n, 3).
     """
     g = np.matmul(pts, rot) + t[..., None, :]
@@ -216,357 +168,113 @@ def _residuals_numpy(rot, t, pts, brs):
     return out
 
 
-# one pose's residuals: the compiled loop, or the vectorized twin in plain Python
-_residuals = _residuals_scalar if NUMBA_ENABLED else _residuals_numpy
+def _damped_lstsq(mat, rhs, k):
+    """Least-squares x of each stacked system mat @ x ~= rhs, (h, r, c) and
+    (h, r), by normal equations damped by 1e-12 of their mean diagonal over
+    the ``k`` unknowns a system uses; its zero columns past those get a
+    zero step."""
+    mt = np.swapaxes(mat, 1, 2)
+    gram = mt @ mat
+    damp = 1e-12 * np.trace(gram, axis1=1, axis2=2) / k + 1e-300
+    gram += damp[:, None, None] * np.eye(mat.shape[2])
+    return np.linalg.solve(gram, mt @ rhs[..., None])[..., 0]
 
 
-@maybe_njit(cache=True, nogil=True)
-def _solve_normal_eqs(mat, rhs):
-    """Least-squares x for mat @ x ~= rhs via damped normal equations.
-
-    The systems here are tiny (<= 6 unknowns); direct solves beat the
-    SVD-based lstsq by orders of magnitude inside the RANSAC loop.
-    """
-    rows, cols = mat.shape
-    gram = np.zeros((cols, cols))
-    proj = np.zeros(cols)
-    for r in range(rows):
-        for a in range(cols):
-            proj[a] += mat[r, a] * rhs[r]
-            for b in range(cols):
-                gram[a, b] += mat[r, a] * mat[r, b]
-    trace = 0.0
-    for a in range(cols):
-        trace += gram[a, a]
-    damp = 1e-12 * (trace / cols) + 1e-300
-    for a in range(cols):
-        gram[a, a] += damp
-    # Cholesky + substitutions in place: the damped Gram matrix is SPD and
-    # tiny, so this beats a LAPACK round trip inside the RANSAC loop.
-    chol = np.zeros((cols, cols))
-    for i in range(cols):
-        for j in range(i + 1):
-            s = gram[i, j]
-            for k in range(j):
-                s -= chol[i, k] * chol[j, k]
-            if i == j:
-                chol[i, i] = math.sqrt(s) if s > 0.0 else 1e-150
-            else:
-                chol[i, j] = s / chol[j, j]
-    y = np.empty(cols)
-    for i in range(cols):
-        s = proj[i]
-        for k in range(i):
-            s -= chol[i, k] * y[k]
-        y[i] = s / chol[i, i]
-    x = np.empty(cols)
-    for i in range(cols - 1, -1, -1):
-        s = y[i]
-        for k in range(i + 1, cols):
-            s -= chol[k, i] * x[k]
-        x[i] = s / chol[i, i]
-    return x
-
-
-@maybe_njit(cache=True, nogil=True)
-def _barycentric(pts, ctrl):
-    """(n, m) coordinates expressing each point in the control-point frame."""
-    n = pts.shape[0]
-    m = ctrl.shape[0]
-    a = np.empty((4, m))
-    for j in range(m):
-        for k in range(3):
-            a[k, j] = ctrl[j, k]
-        a[3, j] = 1.0
-    b = np.empty((4, n))
-    for i in range(n):
-        for k in range(3):
-            b[k, i] = pts[i, k]
-        b[3, i] = 1.0
-    if m == 4:
-        x = np.linalg.solve(a, b)
-    else:
-        # coplanar points: 3 control points determine them exactly
-        at = np.ascontiguousarray(a.T)
-        gram = at @ a
-        x = np.linalg.solve(gram, at @ b)
-    return np.ascontiguousarray(x.T)
-
-
-@maybe_njit(cache=True, nogil=True)
-def _constraint_normal_matrix(alphas, brs):
-    """M^T M of the stacked tangent-plane constraints (3m x 3m)."""
-    n = alphas.shape[0]
-    m = alphas.shape[1]
-    big = np.zeros((2 * n, 3 * m))
-    for i in range(n):
-        vx, vy, vz = brs[i, 0], brs[i, 1], brs[i, 2]
-        # axis least aligned with the bearing
-        ax, ay, az = abs(vx), abs(vy), abs(vz)
-        if ax <= ay and ax <= az:
-            e1x, e1y, e1z = 0.0, -vz, vy
-        elif ay <= az:
-            e1x, e1y, e1z = vz, 0.0, -vx
-        else:
-            e1x, e1y, e1z = -vy, vx, 0.0
-        inv = 1.0 / math.sqrt(e1x * e1x + e1y * e1y + e1z * e1z)
-        e1x *= inv
-        e1y *= inv
-        e1z *= inv
-        e2x = vy * e1z - vz * e1y
-        e2y = vz * e1x - vx * e1z
-        e2z = vx * e1y - vy * e1x
-        for j in range(m):
-            w = alphas[i, j]
-            big[2 * i, 3 * j] = w * e1x
-            big[2 * i, 3 * j + 1] = w * e1y
-            big[2 * i, 3 * j + 2] = w * e1z
-            big[2 * i + 1, 3 * j] = w * e2x
-            big[2 * i + 1, 3 * j + 1] = w * e2y
-            big[2 * i + 1, 3 * j + 2] = w * e2z
-    bt = np.ascontiguousarray(big.T)
-    return bt @ big
-
-
-@maybe_njit(cache=True, nogil=True)
-def _pair_diff_blocks(kernel, n_active, m):
-    """(npairs, 3, N) control-point difference blocks of the kernel columns."""
-    npairs = m * (m - 1) // 2
-    d = np.empty((npairs, 3, n_active))
-    p = 0
-    for i in range(m):
-        for j in range(i + 1, m):
-            for r in range(3):
-                for k in range(n_active):
-                    d[p, r, k] = kernel[3 * i + r, k] - kernel[3 * j + r, k]
-            p += 1
-    return d
-
-
-@maybe_njit(cache=True, nogil=True)
-def _init_betas(diffs, rho, n_active):
-    """Closed-form initialization of the null-space coefficients per case."""
-    npairs = diffs.shape[0]
-    beta = np.zeros(n_active)
-    if n_active == 1:
-        num = 0.0
-        den = 0.0
-        for p in range(npairs):
-            d2 = 0.0
-            for r in range(3):
-                d2 += diffs[p, r, 0] * diffs[p, r, 0]
-            dc = math.sqrt(d2)
-            num += dc * math.sqrt(rho[p])
-            den += d2
-        beta[0] = num / den if den > 0.0 else 0.0
-        return beta
-
-    if n_active == 2:
-        mat = np.empty((npairs, 3))
-        for p in range(npairs):
-            s11 = 0.0
-            s12 = 0.0
-            s22 = 0.0
-            for r in range(3):
-                s11 += diffs[p, r, 0] * diffs[p, r, 0]
-                s12 += diffs[p, r, 0] * diffs[p, r, 1]
-                s22 += diffs[p, r, 1] * diffs[p, r, 1]
-            mat[p, 0] = s11
-            mat[p, 1] = 2.0 * s12
-            mat[p, 2] = s22
-        sol = _solve_normal_eqs(mat, rho)
-        beta[0] = math.sqrt(abs(sol[0]))
-        sign = -1.0 if (sol[0] > 0.0) != (sol[1] > 0.0) else 1.0
-        beta[1] = sign * math.sqrt(abs(sol[2]))
-        return beta
-
-    if n_active == 3:
-        mat = np.empty((npairs, 6))
-        for p in range(npairs):
-            col = 0
-            for a in range(3):
-                for b in range(a, 3):
-                    s = 0.0
-                    for r in range(3):
-                        s += diffs[p, r, a] * diffs[p, r, b]
-                    mat[p, col] = s if a == b else 2.0 * s
-                    col += 1
-        sol = _solve_normal_eqs(mat, rho)
-        beta[0] = math.sqrt(abs(sol[0]))
-        sign1 = -1.0 if (sol[0] > 0.0) != (sol[1] > 0.0) else 1.0
-        beta[1] = sign1 * math.sqrt(abs(sol[3]))
-        sign2 = -1.0 if (sol[0] > 0.0) != (sol[2] > 0.0) else 1.0
-        beta[2] = sign2 * math.sqrt(abs(sol[5]))
-        return beta
-
-    # n_active == 4: solve for the products (B11, B12, B13, B14) and divide.
-    mat = np.empty((npairs, 4))
-    for p in range(npairs):
-        for b in range(4):
-            s = 0.0
-            for r in range(3):
-                s += diffs[p, r, 0] * diffs[p, r, b]
-            mat[p, b] = s if b == 0 else 2.0 * s
-    sol = _solve_normal_eqs(mat, rho)
-    b1 = math.sqrt(abs(sol[0]))
-    beta[0] = b1
-    if b1 > 1e-12:
-        beta[1] = sol[1] / b1
-        beta[2] = sol[2] / b1
-        beta[3] = sol[3] / b1
+def _init_betas(gram, rho):
+    """Closed-form start for k null-space coefficients, from the (npairs, k, k)
+    Gram matrices of the kernel's control-point differences and the squared
+    world distances ``rho`` between the control points."""
+    k = gram.shape[1]
+    if k == 1:
+        d2 = gram[:, 0, 0]
+        return np.array([np.sqrt(d2) @ np.sqrt(rho) / d2.sum()])
+    if k == 4:
+        # solve for the products beta_1 beta_a and divide by beta_1
+        sol = _damped_lstsq(gram[None, :, 0] * [1.0, 2.0, 2.0, 2.0], rho[None], 4)[0]
+        b1 = math.sqrt(abs(sol[0]))
+        return np.r_[b1, sol[1:] / b1] if b1 > 1e-12 else np.r_[b1, 0.0, 0.0, 0.0]
+    # k = 2, 3: solve for every product beta_a beta_b, take the squares'
+    # roots and the signs of beta_1 beta_a
+    iu, ju = np.triu_indices(k)
+    mat = gram[:, iu, ju] * np.where(iu == ju, 1.0, 2.0)
+    sol = _damped_lstsq(mat[None], rho[None], len(iu))[0]
+    beta = np.sqrt(np.abs(sol[iu == ju]))
+    beta[1:] *= np.where((sol[0] > 0.0) != (sol[1:k] > 0.0), -1.0, 1.0)
     return beta
 
 
-@maybe_njit(cache=True, nogil=True)
-def _refine_betas(diffs, beta, rho, iterations):
-    """Gauss-Newton on the control-point inter-distance residuals."""
-    npairs = diffs.shape[0]
-    n_active = beta.shape[0]
-    gram = np.empty((npairs, n_active, n_active))
-    for p in range(npairs):
-        for a in range(n_active):
-            for b in range(n_active):
-                s = 0.0
-                for r in range(3):
-                    s += diffs[p, r, a] * diffs[p, r, b]
-                gram[p, a, b] = s
-    out = beta.copy()
-    jac = np.empty((npairs, n_active))
-    res = np.empty(npairs)
-    for _ in range(iterations):
-        for p in range(npairs):
-            quad = 0.0
-            for a in range(n_active):
-                gb = 0.0
-                for b in range(n_active):
-                    gb += gram[p, a, b] * out[b]
-                jac[p, a] = 2.0 * gb
-                quad += out[a] * gb
-            res[p] = rho[p] - quad
-        step = _solve_normal_eqs(jac, res)
-        for a in range(n_active):
-            out[a] += step[a]
-    return out
-
-
-@maybe_njit(cache=True, nogil=True)
 def _align_control_points(ctrl_w, ctrl_c):
-    """Rigid map A, t with ctrl_c ~= A @ ctrl_w + t (A proper rotation)."""
-    m = ctrl_w.shape[0]
-    cw = np.zeros(3)
-    cc = np.zeros(3)
-    for i in range(m):
-        for k in range(3):
-            cw[k] += ctrl_w[i, k]
-            cc[k] += ctrl_c[i, k]
-    cw /= m
-    cc /= m
-    h = np.zeros((3, 3))
-    for i in range(m):
-        for a in range(3):
-            for b in range(3):
-                h[a, b] += (ctrl_w[i, a] - cw[a]) * (ctrl_c[i, b] - cc[b])
-    u, s, vt = np.linalg.svd(h)
-    v = np.ascontiguousarray(vt.T)
-    ut = np.ascontiguousarray(u.T)
-    amat = v @ ut
-    if np.linalg.det(amat) < 0.0:
-        for k in range(3):
-            v[k, 2] = -v[k, 2]
-        amat = v @ ut
-    t = np.empty(3)
-    for k in range(3):
-        t[k] = cc[k] - (amat[k, 0] * cw[0] + amat[k, 1] * cw[1] + amat[k, 2] * cw[2])
-    return amat, t
+    """Rigid maps A, t with ctrl_c[h] ~= A[h] @ ctrl_w + t[h] (A proper
+    rotations) for stacked camera-frame control points (h, m, 3)."""
+    cw, cc = ctrl_w.mean(axis=0), ctrl_c.mean(axis=1)
+    u, _, vt = np.linalg.svd((ctrl_w - cw).T @ (ctrl_c - cc[:, None]))
+    vt[np.linalg.det(u) * np.linalg.det(vt) < 0.0, 2] *= -1.0
+    amat = np.swapaxes(vt, 1, 2) @ np.swapaxes(u, 1, 2)
+    return amat, cc - amat @ cw
 
 
-@maybe_njit(cache=True, nogil=True)
 def _solve_epnp(pts, brs):
-    """Minimal/refit EPnP solve.
+    """EPnP on n >= 4 points and their unit bearings.
 
     Returns (ok, R, T, mean_residual_deg) with R camera-to-world and T the
-    world->camera offset. ``ok`` is False for degenerate geometry.
+    world->camera offset. ``ok`` is False for degenerate geometry. The
+    control points are the mean and the principal axes scaled by their
+    spread (two axes for planar points), so a point's barycentric weights
+    are its coordinates in that frame. Each bearing b gives two rows of
+    constraints sum_j alpha_j c_j . e = 0, for e spanning the plane
+    perpendicular to b. Their products add up to the projector I - b b^T,
+    so M^T M = sum_i (alpha_i alpha_i^T) (x) (I - b_i b_i^T), whatever the
+    tangent axes. The solutions from k = 1 to 4 null-space vectors (1 to 2
+    when planar) are refined together, as k-vectors padded with zeros, and
+    the one with the least mean angular residual wins.
     """
     n = pts.shape[0]
-    eye = np.eye(3)
-    zero = np.zeros(3)
-
-    mean = np.zeros(3)
-    for i in range(n):
-        for k in range(3):
-            mean[k] += pts[i, k]
-    mean /= n
+    mean = pts.mean(axis=0)
     centered = pts - mean
-    scatter = np.ascontiguousarray(centered.T) @ centered
-    evals, evecs = np.linalg.eigh(scatter)
-    if evals[2] <= 1e-20:
-        return False, eye, zero, 1e300
-    if evals[1] / evals[2] <= _COLLINEAR_TOL:
-        return False, eye, zero, 1e300
+    evals, evecs = np.linalg.eigh(centered.T @ centered)
+    if evals[2] <= 1e-20 or evals[1] / evals[2] <= _COLLINEAR_TOL:
+        return False, np.eye(3), np.zeros(3), math.inf
     planar = evals[0] / evals[2] <= _PLANAR_TOL
-
     m = 3 if planar else 4
-    ctrl_w = np.empty((m, 3))
-    for k in range(3):
-        ctrl_w[0, k] = mean[k]
-    for j in range(m - 1):
-        scale = math.sqrt(evals[2 - j] / n)
-        for k in range(3):
-            ctrl_w[j + 1, k] = mean[k] + evecs[k, 2 - j] * scale
 
-    alphas = _barycentric(pts, ctrl_w)
-    mtm = _constraint_normal_matrix(alphas, brs)
-    _, vecs = np.linalg.eigh(mtm)
-    kernel_dim = 2 if planar else 4
-    kernel = np.ascontiguousarray(vecs[:, :kernel_dim])
+    scales = np.sqrt(evals[::-1][:m - 1] / n)
+    axes = evecs[:, ::-1][:, :m - 1]
+    ctrl_w = np.vstack([mean, mean + (axes * scales).T])
+    local = centered @ (axes / scales)
+    alphas = np.column_stack([1.0 - local.sum(axis=1), local])
 
-    npairs = m * (m - 1) // 2
-    rho = np.empty(npairs)
-    p = 0
-    for i in range(m):
-        for j in range(i + 1, m):
-            s = 0.0
-            for k in range(3):
-                d = ctrl_w[i, k] - ctrl_w[j, k]
-                s += d * d
-            rho[p] = s
-            p += 1
+    ab = (alphas[:, :, None] * brs[:, None, :]).reshape(n, 3 * m)
+    mtm = np.kron(alphas.T @ alphas, np.eye(3)) - ab.T @ ab
+    kernel = np.linalg.eigh(mtm)[1][:, :2 if planar else 4]
 
-    best_ok = False
-    best_res = 1e300
-    best_rot = eye
-    best_t = zero
-    for n_active in range(1, kernel_dim + 1):
-        diffs = _pair_diff_blocks(kernel, n_active, m)
-        beta = _init_betas(diffs, rho, n_active)
-        beta = _refine_betas(diffs, beta, rho, _GN_ITERATIONS)
+    dim = kernel.shape[1]
+    iu, ju = np.triu_indices(m, 1)
+    rho = np.sum((ctrl_w[iu] - ctrl_w[ju]) ** 2, axis=1)
+    blocks = kernel.reshape(m, 3, dim)
+    diffs = blocks[iu] - blocks[ju]
+    gram = np.einsum("pra,prb->pab", diffs, diffs)
 
-        ctrl_c = np.zeros((m, 3))
-        for j in range(m):
-            for k in range(3):
-                s = 0.0
-                for a in range(n_active):
-                    s += kernel[3 * j + k, a] * beta[a]
-                ctrl_c[j, k] = s
+    # Gauss-Newton on the control-point distances, for every k at once
+    ks = np.arange(1, dim + 1)
+    active = np.arange(dim) < ks[:, None]
+    grams = gram * (active[:, None, :, None] & active[:, None, None, :])
+    beta = np.zeros((dim, dim))
+    for k in ks:
+        beta[k - 1, :k] = _init_betas(gram[:, :k, :k], rho)
+    for _ in range(_GN_ITERATIONS):
+        gb = (grams @ beta[:, None, :, None])[..., 0]
+        beta += _damped_lstsq(2.0 * gb, rho - np.sum(gb * beta[:, None], axis=2), ks)
 
-        cam = alphas @ ctrl_c
-        dots = np.empty(n)
-        for i in range(n):
-            dots[i] = (cam[i, 0] * brs[i, 0] + cam[i, 1] * brs[i, 1]
-                       + cam[i, 2] * brs[i, 2])
-        if np.median(dots) < 0.0:
-            ctrl_c = -ctrl_c
-
-        amat, t = _align_control_points(ctrl_w, ctrl_c)
-        rot = np.ascontiguousarray(amat.T)
-        res = _residuals(rot, t, pts, brs)
-        mres = res.mean()
-        if mres < best_res:
-            best_ok = True
-            best_res = mres
-            best_rot = rot
-            best_t = t
-    return best_ok, best_rot, best_t, best_res
+    ctrl_c = (beta @ kernel.T).reshape(dim, m, 3)
+    # the points lie in front of their bearings
+    front = np.median(np.sum((alphas @ ctrl_c) * brs, axis=2), axis=1)
+    ctrl_c[front < 0.0] *= -1.0
+    amat, t = _align_control_points(ctrl_w, ctrl_c)
+    rot = np.swapaxes(amat, 1, 2)
+    mres = _residuals(rot, t, pts, brs).mean(axis=1)
+    mres[np.isnan(mres)] = math.inf
+    best = int(np.argmin(mres))
+    return bool(mres[best] < math.inf), rot[best], t[best], float(mres[best])
 
 
 # ---------------------------------------------------------------------------
@@ -756,18 +464,17 @@ def _lift_points(pts, brs):
 
     The points are centred on their mean so that the prefilter's rounding
     scales with the frame's spread, not with the map's coordinates. Returns
-    (mean, dot_rows (12, n), norm_rows (5, n), p_max, q_max): dot_rows holds
-    the lifted q_k b_i (k major) and b; norm_rows holds q, ones and |q|^2.
+    (mean, dot_rows (12, n), norm_rows (7, n)): dot_rows holds the lifted
+    q_k b_i (k major) and b; norm_rows holds q, ones, |q|^2, and z and z^2
+    for z = |p| + |mean|, which bounds each point's rounding.
     """
     mean = pts.mean(axis=0)
     q = pts - mean
     lifted = (q[:, :, None] * brs[:, None, :]).reshape(-1, 9)
     dot_rows = np.ascontiguousarray(np.concatenate([lifted, brs], axis=1).T)
-    q_sq = np.sum(q * q, axis=1)
-    norm_rows = np.ascontiguousarray(
-        np.concatenate([q, np.ones((len(q), 1)), q_sq[:, None]], axis=1).T)
-    p_max = max(math.sqrt(np.sum(pts * pts, axis=1).max()), math.sqrt(mean @ mean))
-    return mean, dot_rows, norm_rows, p_max, math.sqrt(q_sq.max())
+    z = np.sqrt(np.sum(pts * pts, axis=1)) + math.sqrt(mean @ mean)
+    norm_rows = np.stack([*q.T, np.ones(len(q)), np.sum(q * q, axis=1), z, z * z])
+    return mean, dot_rows, norm_rows
 
 
 def _score_hypotheses(rot, t, pts, brs, lift, threshold_deg):
@@ -775,35 +482,42 @@ def _score_hypotheses(rot, t, pts, brs, lift, threshold_deg):
 
     Step 1 keeps a (pose, point) pair only if two GEMMs over the lifted
     points say it may lie within the threshold; step 2 takes the exact
-    residual of :func:`_residuals_numpy` for the kept pairs only, so the
+    residual of :func:`_residuals` for the kept pairs only, so the
     exact test decides every inlier. Step 1 never drops a pair that step 2
     would accept.
 
     Why, with u = 2**-53, g = p R + t the camera-frame point in exact
-    arithmetic and G its rounded value in step 2. For a pose, let
-    s = 1 + dev bound the norm of R (dev >= |R R^T - I|), P >= |p|, |mean|,
-    Q >= |q|, T = |t|, and let t_c = mean R + t (rounded) be the
-    translation for centred points, g' = q R + t_c and span = s Q + |t_c|
-    >= |g'|.
-      1. |G - g| <= sqrt(3) * gamma_4 * (s P + T) <= E1 = 8u (s P + T).
+    arithmetic and G its rounded value in step 2. For a pose and a point p,
+    let s = 1 + dev bound the norm of R (dev >= |R R^T - I|), z = |p| +
+    |mean| >= |p|, |mean|, |q|, T = |t|, and let t_c = mean R + t (rounded)
+    be the translation for centred points, g' = q R + t_c and span =
+    s z + |t_c| >= |g'|.
+      1. |G - g| <= sqrt(3) * gamma_4 * (s z + T) <= E1 = 8u (s z + T),
+         which also bounds the rounding of t_c.
       2. res = degrees(arctan2(|G x b|, G . b)) < theta means the angle
          between G and b is below theta1 = theta (1 + 4u) + 8u (radians):
          the cross and dot products are off by at most 6.2u |G| |b|, and
          arctan2 and the degree conversion by a few ulps.
       3. Then g . b >= |b| (cos(theta1) |g| - 2 E1).
-      4. |g' - g| <= u s Q + E1 (rounding of q and t_c), and the dot GEMM
+      4. |g' - g| <= u s z + E1 (rounding of q and t_c), and the dot GEMM
          returns d = g' . b within 32u span. So with a = |b| cos(theta1) |g|
          and eta = 3 E1 + 33u span, d >= a - eta, which gives
          d |d| >= a^2 - 2 a eta - eta^2 >= a^2 - eta (2 span + 3 eta).
       5. The norm GEMM returns m ~ kappa |g'|^2 - sigma, using
-         |q R|^2 = |q|^2 within dev Q^2 and other rounding within 21u
+         |q R|^2 = |q|^2 within dev z^2 and other rounding within 21u
          span^2. Also |g|^2 >= |g'|^2 - 2 span (u span + E1). With
-         sigma = 2 ((dev + 32u) span^2 + 2 span (u span + E1)
-                    + eta (2 span + 3 eta))
+         sigma >= 2 ((dev + 32u) span^2 + 2 span (u span + E1)
+                     + eta (2 span + 3 eta))
          and kappa = (1 - M) cos^2(theta (1 + M) + M) <= (1 - 6u) cos^2(theta1)
          (M = _PREFILTER_MARGIN >> u; 1 - 6u bounds |b|^2 from below, as
          Correspondences normalizes the bearings),
          every pair that step 2 accepts has d |d| >= m.
+      6. With L = s z + |t_c| + T: span <= L, E1 <= 8u L and eta <= 57u L,
+         so the right side of 5 is at most 2 (dev + 164u + 1e4 u^2) L^2.
+         sigma = 2 (dev + 170u) L^2 leaves 12u L^2 for the rounding that
+         the norm GEMM's three terms of sigma add (under 4u L^2). It is a
+         quadratic in z, which the GEMM takes from the rows z and z^2 of
+         each point, so a far point loosens the test of its own pairs only.
     sigma is an absolute bound: it lets points next to a camera centre,
     whose exact residual is rounding noise, through to step 2. A threshold
     within M of 90 degrees keeps every pair.
@@ -823,25 +537,24 @@ def _score_hypotheses(rot, t, pts, brs, lift, threshold_deg):
 
 def _score_block(rot, t, pts, brs, lift, threshold_deg):
     """The two steps of :func:`_score_hypotheses` for one block of poses."""
-    mean, dot_rows, norm_rows, p_max, q_max = lift
+    mean, dot_rows, norm_rows = lift
     h = rot.shape[0]
     t_c = np.matmul(mean, rot) + t
     t_c_norm = np.sqrt(np.sum(t_c * t_c, axis=1))
     drift = np.linalg.norm(np.matmul(rot, np.swapaxes(rot, 1, 2)) - np.eye(3), axis=(1, 2))
     dev = drift + 16 * _U * (1.0 + drift)
-    span = (1.0 + dev) * q_max + t_c_norm
-    e1 = 8 * _U * ((1.0 + dev) * p_max + np.sqrt(np.sum(t * t, axis=1)))
-    eta = 3 * e1 + 33 * _U * span
-    sigma = 2 * ((dev + 32 * _U) * span ** 2 + 2 * span * (_U * span + e1)
-                 + eta * (2 * span + 3 * eta))
+    # sigma = k (s z + c)^2 for each pair, as coefficients of 1, z and z^2
+    s = 1.0 + dev
+    c = t_c_norm + np.sqrt(np.sum(t * t, axis=1))
+    k = 2 * (dev + 170 * _U)
 
     theta = math.radians(threshold_deg) * (1 + _PREFILTER_MARGIN) + _PREFILTER_MARGIN
     if theta < math.pi / 2:
         kappa = (1 - _PREFILTER_MARGIN) * math.cos(theta) ** 2
         dot = np.concatenate([rot.reshape(h, 9), t_c], axis=1) @ dot_rows
         r_tc = np.matmul(rot, t_c[:, :, None])[:, :, 0]
-        norm = np.concatenate([2 * kappa * r_tc, (kappa * t_c_norm ** 2 - sigma)[:, None],
-                               np.full((h, 1), kappa)], axis=1) @ norm_rows
+        norm = np.column_stack([2 * kappa * r_tc, kappa * t_c_norm ** 2 - k * c * c,
+                                np.full(h, kappa), -2 * k * s * c, -k * s * s]) @ norm_rows
         keep = dot * np.abs(dot) >= norm
     else:
         keep = np.ones((h, pts.shape[0]), dtype=np.bool_)
@@ -849,12 +562,12 @@ def _score_block(rot, t, pts, brs, lift, threshold_deg):
     if np.count_nonzero(keep) > _DENSE_SHARE * keep.size:
         # most pairs survive (clean data): residuals for the whole block cost
         # less than gathering the survivors' operands
-        res = _residuals_numpy(rot, t, pts, brs)
+        res = _residuals(rot, t, pts, brs)
         hh, jj = np.nonzero(res < threshold_deg)
         res = res[hh, jj]
     else:
         hh, jj = np.nonzero(keep)
-        res = _residuals_numpy(rot[hh], t[hh], pts[jj, None], brs[jj, None])[:, 0]
+        res = _residuals(rot[hh], t[hh], pts[jj, None], brs[jj, None])[:, 0]
         inl = res < threshold_deg
         hh, res = hh[inl], res[inl]
     return np.bincount(hh, minlength=h), np.bincount(hh, weights=res, minlength=h)
@@ -869,30 +582,18 @@ def epnp_bearing(corrs: Correspondences) -> Pose:
     """Absolute pose from >= 4 bearing/world-point correspondences."""
     if len(corrs) < 4:
         raise ValueError(f"need at least 4 correspondences, got {len(corrs)}")
-    solver = _solve_epnp if NUMBA_ENABLED else _solve_epnp.py_func
-    ok, rot, t, _ = solver(corrs.world_points, corrs.bearings)
+    ok, rot, t, _ = _solve_epnp(corrs.world_points, corrs.bearings)
     if not ok:
         raise DegenerateConfigError("correspondences are collinear or otherwise degenerate")
     return Pose(rot, t)
 
 
-def angular_residual(pose: Pose, corr: Correspondence) -> float:
-    """Angle in degrees between the bearing and the predicted direction.
+def angular_residuals(pose: Pose, corrs: Correspondences) -> np.ndarray:
+    """Angle in degrees between each bearing and the predicted direction.
 
     A world point coinciding with the camera centre has no direction and
     scores 180 degrees (always an outlier).
     """
-    g = pose.rotation.T @ np.asarray(corr.world_point, dtype=np.float64) + pose.translation
-    if np.linalg.norm(g) < _CENTER_EPS:
-        return 180.0
-    b = np.asarray(corr.bearing, dtype=np.float64)
-    b = b / np.linalg.norm(b)
-    sin_part = np.linalg.norm(np.cross(g, b))
-    return math.degrees(math.atan2(sin_part, float(g @ b)))
-
-
-def angular_residuals(pose: Pose, corrs: Correspondences) -> np.ndarray:
-    """Batch angular residuals in degrees."""
     return _residuals(pose.rotation, pose.translation, corrs.world_points, corrs.bearings)
 
 

@@ -158,6 +158,22 @@ class TestErrorHandling:
         assert f"{victim}: truncated payload" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("how", ["missing-key", "singular-W", "nan-mean"])
+    def test_malformed_map_is_exit_2(self, mini_pipeline, tmp_path, capsys, how):
+        doc = json.loads((mini_pipeline / "map.json").read_text())
+        rec = doc["labels"][0]
+        if how == "missing-key":
+            del rec["W"]
+        elif how == "singular-W":
+            rec["W"] = [0.0] * 9
+        else:
+            rec["mean"][0] = float("nan")
+        bad = tmp_path / "map.json"
+        bad.write_text(json.dumps(doc))
+        assert run("localize", "--frames", mini_pipeline / "pred", "--map", bad,
+                   "--iterations", 20, "--out", tmp_path / "loc") == 2
+        assert str(bad) in capsys.readouterr().err
+
     def test_missing_scene_is_exit_2(self, tmp_path):
         assert run("render", "--scene", tmp_path / "nope.json",
                    "--poses", tmp_path / "nope.jsonl", "--out", tmp_path) == 2

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -161,6 +164,49 @@ class TestInstanceMapFile:
         fileio.save_instance_map(p1, imap)
         fileio.save_instance_map(p2, imap)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def _break_map(doc, how):
+    rec = doc["labels"][0]
+    if how.startswith("no-"):
+        del (doc if how == "no-labels" else rec)[how[3:]]
+    elif how == "W-shape":
+        rec["W"] = rec["W"][:8]
+    elif how == "W-singular":
+        rec["W"] = [1.0, 2.0, 3.0, 2.0, 4.0, 6.0, 0.0, 0.0, 1.0]
+    elif how == "W-ill-conditioned":
+        rec["W"] = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1e-14]
+    elif how == "W-nan":
+        rec["W"][4] = float("nan")
+    elif how == "W-inf":
+        rec["W"][0] = float("inf")
+    elif how == "mean-nan":
+        rec["mean"][1] = float("nan")
+    elif how == "mean-shape":
+        rec["mean"] = rec["mean"][:2]
+    elif how == "labels-not-a-list":
+        doc["labels"] = 5
+    return doc
+
+
+class TestStrictInstanceMapReader:
+    @pytest.mark.parametrize("how", [
+        "no-labels", "no-id", "no-mean", "no-W", "no-count", "W-shape", "W-singular",
+        "W-ill-conditioned", "W-nan", "W-inf", "mean-nan", "mean-shape", "labels-not-a-list"])
+    def test_malformed_map_names_the_file(self, tmp_path, rng, how):
+        path = tmp_path / "map.json"
+        fileio.save_instance_map(path, build_instance_map(rng.normal(size=(20, 3)),
+                                                          np.full(20, 1000)))
+        path.write_text(json.dumps(_break_map(json.loads(path.read_text()), how)))
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            fileio.load_instance_map(path)
+
+    @pytest.mark.parametrize("text", ['{"labels": [', '[1, 2]'])
+    def test_not_a_map_object_names_the_file(self, tmp_path, text):
+        path = tmp_path / "map.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            fileio.load_instance_map(path)
 
 
 class TestSceneFile:

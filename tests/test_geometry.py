@@ -8,8 +8,7 @@ from conftest import random_pose
 from panoloc.geometry import (Pose, bearing_to_pixel, image_bearings,
                               load_poses_jsonl, pixel_to_bearing,
                               quaternion_to_rotation, relative_pose_errors,
-                              rotation_to_quaternion, save_poses_jsonl,
-                              world_to_camera)
+                              rotation_to_quaternion, save_poses_jsonl)
 
 W, H = 512, 256
 
@@ -95,7 +94,7 @@ class TestPose:
             hom[:3, :3] = pose.rotation.T
             hom[:3, 3] = pose.translation
             expected = (hom @ np.append(point, 1.0))[:3]
-            assert np.abs(world_to_camera(pose, point) - expected).max() < 1e-12
+            assert np.abs(pose.world_to_camera(point) - expected).max() < 1e-12
 
     def test_camera_center_maps_to_origin(self, rng):
         for _ in range(20):

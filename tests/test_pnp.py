@@ -12,10 +12,17 @@ from scipy.stats import chisquare
 from conftest import random_pose, synthetic_corrs
 from panoloc import pnp
 from panoloc.geometry import Pose, quaternion_to_rotation, relative_pose_errors
-from panoloc.pnp import (Correspondence, Correspondences, DegenerateConfigError,
-                         NoConsensusError, PoseEstimate, RansacConfig,
-                         _residuals_numpy, _residuals_scalar, angular_residual,
-                         angular_residuals, epnp_bearing, ransac_pnp)
+from panoloc.pnp import (Correspondences, DegenerateConfigError, NoConsensusError,
+                         PoseEstimate, RansacConfig, _residuals, angular_residuals,
+                         epnp_bearing, ransac_pnp)
+
+
+def pose_error(est, pose):
+    """(metres, radians) between two poses; the angle from the chord
+    |R1 - R2|_F = 2 sqrt(2) sin(angle / 2), which keeps its precision near 0."""
+    chord = np.linalg.norm(est.rotation - pose.rotation) / (2.0 * math.sqrt(2.0))
+    return (float(np.linalg.norm(est.camera_center - pose.camera_center)),
+            2.0 * math.asin(min(1.0, chord)))
 
 
 class TestEpnpBearing:
@@ -65,6 +72,27 @@ class TestEpnpBearing:
         with pytest.raises(DegenerateConfigError):
             epnp_bearing(Correspondences(bearings, pts))
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(4, 60),
+           offset=st.floats(-1e4, 1e4), spread=st.floats(1e-3, 100.0))
+    def test_collinear_points_always_degenerate(self, seed, n, offset, spread):
+        # any number of points on any line, seen from off the line
+        rng = np.random.default_rng(seed)
+        direction = rng.normal(size=3)
+        pts = offset + rng.uniform(-spread, spread, (n, 1)) * direction
+        bearings = pts - (pts[0] + np.cross(direction, rng.normal(size=3)))
+        with pytest.raises(DegenerateConfigError):
+            epnp_bearing(Correspondences(bearings, pts))
+
+    @pytest.mark.parametrize("n, planar, trials", [(5, False, 200), (20, False, 200),
+                                                   (20_000, False, 5), (8, True, 200)])
+    def test_noiseless_points_give_the_exact_pose(self, rng, n, planar, trials):
+        for _ in range(trials):
+            pose = random_pose(rng)
+            dist, angle = pose_error(epnp_bearing(synthetic_corrs(pose, n, rng, planar=planar)),
+                                     pose)
+            assert dist < 1e-9 and angle < 1e-9
+
     def test_rigid_equivariance(self, rng):
         from panoloc.geometry import quaternion_to_rotation
         pose = random_pose(rng)
@@ -86,14 +114,14 @@ class TestAngularResidual:
 
     def test_negated_bearing_is_180(self, rng):
         pose = random_pose(rng)
-        corrs = synthetic_corrs(pose, 1, rng)
-        corr = Correspondence(-corrs.bearings[0], corrs.world_points[0])
-        assert angular_residual(pose, corr) == pytest.approx(180.0, abs=1e-9)
+        corrs = synthetic_corrs(pose, 20, rng)
+        flipped = Correspondences(-corrs.bearings, corrs.world_points)
+        assert np.abs(angular_residuals(pose, flipped) - 180.0).max() < 1e-9
 
     def test_point_at_camera_center_is_outlier(self, rng):
         pose = random_pose(rng)
-        corr = Correspondence(np.array([0.0, 0.0, 1.0]), pose.camera_center)
-        assert angular_residual(pose, corr) == 180.0
+        corrs = Correspondences(rng.normal(size=(5, 3)), np.repeat(pose.camera_center[None], 5, 0))
+        assert (angular_residuals(pose, corrs) == 180.0).all()
 
     def test_perpendicular_offset_small_angle_oracle(self, rng):
         for _ in range(50):
@@ -107,20 +135,29 @@ class TestAngularResidual:
             delta = rng.normal(size=3)
             delta -= ray_w * (delta @ ray_w)
             delta *= rng.uniform(0.01, 0.5) / np.linalg.norm(delta)
-            moved = Correspondence(corrs.bearings[0], point + delta)
+            moved = Correspondences(corrs.bearings[:1], (point + delta)[None])
             expected = math.degrees(math.atan(np.linalg.norm(delta) / depth))
-            assert angular_residual(pose, moved) == pytest.approx(expected, rel=0.01)
+            assert angular_residuals(pose, moved)[0] == pytest.approx(expected, rel=0.01)
 
-    def test_scalar_and_numpy_paths_agree(self, rng):
+    def test_matches_per_point_formula(self, rng):
+        # atan2(|g x b|, g . b) one point at a time in Python floats, with
+        # 180 degrees for the points at the camera centre
         pose = random_pose(rng)
         corrs = synthetic_corrs(pose, 200, rng)
-        jitter = rng.normal(scale=0.3, size=corrs.world_points.shape)
-        noisy = Correspondences(corrs.bearings, corrs.world_points + jitter)
-        a = _residuals_scalar(pose.rotation, pose.translation,
-                              noisy.world_points, noisy.bearings)
-        b = _residuals_numpy(pose.rotation, pose.translation,
-                             noisy.world_points, noisy.bearings)
-        assert np.abs(a - b).max() < 1e-10
+        pts = corrs.world_points + rng.normal(scale=0.3, size=(200, 3))
+        pts[::50] = pose.camera_center
+        noisy = Correspondences(corrs.bearings, pts)
+        got = angular_residuals(pose, noisy)
+        rot, t = pose.rotation.tolist(), pose.translation.tolist()
+        for i, (p, b) in enumerate(zip(noisy.world_points.tolist(), noisy.bearings.tolist())):
+            g = [sum(rot[k][j] * p[k] for k in range(3)) + t[j] for j in range(3)]
+            if i % 50 == 0:
+                assert math.hypot(*g) < 1e-12 and got[i] == 180.0
+                continue
+            cross = (g[1] * b[2] - g[2] * b[1], g[2] * b[0] - g[0] * b[2],
+                     g[0] * b[1] - g[1] * b[0])
+            want = math.degrees(math.atan2(math.hypot(*cross), sum(x * y for x, y in zip(g, b))))
+            assert got[i] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 class TestRansac:
@@ -385,7 +422,7 @@ class TestBatchedMinimalSolver:
 
         valid, rots, ts = pnp._p3p_candidates(pts[None], brs[None])
         assert valid[0].any()
-        res = _residuals_numpy(rots[0, valid[0]], ts[0, valid[0]], pts, brs)
+        res = _residuals(rots[0, valid[0]], ts[0, valid[0]], pts, brs)
         assert res.max(axis=1).min() < 1e-6
 
     def test_collinear_samples_flagged_degenerate(self, rng):
@@ -416,7 +453,7 @@ class TestBatchedMinimalSolver:
             pts, brs = self.stack(samples)
             ok, rots, ts = pnp._solve_p3p_batch(pts, brs)
             assert ok.all()
-            exact = _residuals_numpy(rots, ts, pts, brs).max(axis=1) < 1e-6
+            exact = _residuals(rots, ts, pts, brs).max(axis=1) < 1e-6
             assert exact.mean() >= 0.999
             # proper rotations, orthonormal to rounding, which keeps the
             # scoring prefilter tight
