@@ -10,23 +10,31 @@ timed through the public ``ransac_pnp`` on 500 points and on 5000 points
 (the localize cap), both with 1000 iterations and the default inlier
 threshold, and in the shape of the pipeline benchmark's noisy-sparse
 workload: 500 points, 30% outliers, 4000 iterations, a 0.6 degree
-threshold.
+threshold. The scene rows time ``load_scene`` and one 512x256
+``raycast_render`` on the large preset (827 buildings) and on 52,000
+buildings of a 230x230 grid, where render time should follow what the
+camera sees, not the building count.
 
 Usage:
     python benchmarks/bench_kernels.py [--repeats 5] [--rays 131072] ...
 """
 
 import argparse
+from pathlib import Path
+import tempfile
 import time
 
 import numpy as np
 
+from panoloc.fileio import load_scene, save_scene
 from panoloc.geometry import quaternion_to_rotation, Pose
 from panoloc.pnp import Correspondences, RansacConfig, _residuals, _solve_epnp, ransac_pnp
 from panoloc.scene_sim import (LARGE_CITY, SMALL_CITY, generate_city, raycast_render,
                                sample_trajectory)
 
 REFIT_POINTS = (900, 2700, 20_000)
+# (buildings, grid) of the scene rows
+SCENE_SIZES = ((LARGE_CITY["n_buildings"], LARGE_CITY["grid_dims"]), (52_000, (230, 230)))
 
 
 def best_of(fn, repeats):
@@ -114,6 +122,23 @@ def run_benchmarks(args):
         ("ransac 5000 pts / 1000 it", best_of(
             lambda: ransac_pnp(data["cap_corrs"], RansacConfig(seed=1)), repeats)),
     ]
+    return rows + scene_rows(args.repeats)
+
+
+def scene_rows(repeats):
+    """load_scene and one 512x256 raycast_render per SCENE_SIZES entry."""
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for n, grid in SCENE_SIZES:
+            path = Path(tmp) / f"scene{n}.json"
+            save_scene(path, generate_city(n, grid, seed=7))
+            scene = load_scene(path)
+            _, pose = sample_trajectory(scene, 1, seed=7)[0]
+            rows += [
+                (f"scene load, {n} boxes", best_of(lambda: load_scene(path), repeats)),
+                (f"scene raycast 512x256, {n} boxes", best_of(
+                    lambda: raycast_render(scene, pose, (512, 256)), repeats)),
+            ]
     return rows
 
 
@@ -126,9 +151,9 @@ def main():
     parser.add_argument("--solves", type=int, default=200)
     args = parser.parse_args()
 
-    print(f"{'kernel':<32} {'time (s)':>10}")
+    print(f"{'kernel':<36} {'time (s)':>10}")
     for name, seconds in run_benchmarks(args):
-        print(f"{name:<32} {seconds:>10.5f}")
+        print(f"{name:<36} {seconds:>10.5f}")
 
 
 if __name__ == "__main__":

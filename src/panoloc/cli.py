@@ -91,7 +91,7 @@ def cmd_generate(args) -> int:
     fileio.save_scene(out_dir / "scene.json", scene)
     save_poses_jsonl(out_dir / "poses.jsonl", frames)
     _write_meta(out_dir, "generate", args)
-    print(f"generate: {len(scene.buildings)} buildings, {scene.road_segments} road segments, "
+    print(f"generate: {len(scene.box_labels)} buildings, {scene.road_segments} road segments, "
           f"{len(frames)} poses -> {out_dir}")
     return 0
 
@@ -205,11 +205,7 @@ def _localize_frame(index, frame, frames_dir, imap, bearings, dims, args):
         keep = np.sort(gen.permutation(rows.size)[:args.max_corrs])
         rows, cols = rows[keep], cols[keep]
 
-    corrs = Correspondences(
-        bearings[rows, cols],
-        coords.coords[rows, cols],
-        np.stack([cols, rows], axis=1).astype(np.float64),
-    )
+    corrs = Correspondences(bearings[rows, cols], coords.coords[rows, cols])
     cfg = RansacConfig(
         iterations=args.iterations,
         inlier_threshold_deg=args.threshold_deg,

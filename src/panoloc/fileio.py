@@ -6,7 +6,8 @@
   Instance map: JSON {"labels": [{"id", "mean", "W", "count"}], "label_count"}
     with "W" the 3x3 unwhitening matrix in row-major order.
   Scene: JSON {"seed", "buildings": [{"center", "half_extents", "yaw",
-    "label"}], "road_segments"}.
+    "label"}], "road_segments"}, one building per row of the scene's box
+    array, plus "layout": {"grid_dims", "block", "street"} if it has one.
   Point clouds: ASCII PLY with float x, y, z and uint instance_label.
   Poses: JSON Lines, see geometry.save_poses_jsonl; estimate files add
     "inliers" and "mean_residual_deg" per record.
@@ -16,23 +17,26 @@ They write a temporary file in the target's directory and rename it over
 the target once it is complete, so a reader never sees a partial file and
 re-running a stage never truncates an old output in place. Readers of the
 binary images reject a malformed header, a short payload and trailing
-bytes with a ValueError that names the file. The instance-map reader does
-the same for malformed JSON, a missing key, a non-finite mean or W, and a
-singular W.
+bytes with a ValueError that names the file. The instance-map and scene
+readers do the same for malformed JSON, a missing key, a value of the
+wrong shape and a non-finite value; the first also for a singular W, the
+second for a half extent that is not positive and a label below 1000,
+above 2**32 - 1, not an integer or used twice.
 """
 
 from contextlib import contextmanager
+from itertools import repeat
 import json
+from operator import itemgetter
 import os
 import threading
 
 import numpy as np
 
 from .geometry import Pose, quaternion_to_rotation, rotation_to_quaternion
-from .images import LabelImage, SceneCoordinateImage
+from .images import NUM_CLASS_LABELS, LabelImage, SceneCoordinateImage
 from .instance_map import InstanceMap, WhiteningTransform
-from .images import NUM_CLASS_LABELS
-from .scene_sim import CityLayout, CityScene, Cuboid
+from .scene_sim import CityLayout, CityScene
 
 __all__ = [
     "atomic_open",
@@ -55,6 +59,7 @@ __all__ = [
 _MAX_CONDITION = 1e12
 _COORD_MAGIC = b"SCRD1\n"
 _LABEL_MAGIC = b"LBLS1\n"
+_SCENE_KEYS = ("center", "half_extents", "yaw", "label")
 
 
 @contextmanager
@@ -151,13 +156,22 @@ def save_instance_map(path, imap: InstanceMap) -> None:
         fh.write("\n")
 
 
-def load_instance_map(path) -> InstanceMap:
+@contextmanager
+def _json_document(path, kind):
+    """Yield the JSON document in ``path``. A KeyError, TypeError (as from a document
+    that is not an object) or ValueError raised in the block names the file."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        doc = json.loads(text)
-        if not isinstance(doc, dict):
-            raise ValueError("not a JSON object")
+        yield json.loads(text)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed {kind}: {exc}") from None
+
+
+def load_instance_map(path) -> InstanceMap:
+    with _json_document(path, "instance map") as doc:
         transforms = {}
         for rec in doc["labels"]:
             label = int(rec["id"])
@@ -175,55 +189,41 @@ def load_instance_map(path) -> InstanceMap:
                 point_count=int(rec["count"]),
             )
         label_count = int(doc.get("label_count", NUM_CLASS_LABELS + len(transforms)))
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: malformed instance map: {exc}") from None
     return InstanceMap(transforms, label_count)
 
 
 def save_scene(path, scene: CityScene) -> None:
+    boxes = scene.boxes
+    # one {key: value} record per row, built in C with no Python loop over buildings
+    rows = zip(boxes[:, 0:3].tolist(), boxes[:, 3:6].tolist(), boxes[:, 6].tolist(),
+               scene.box_labels.tolist())
     doc = {
         "seed": int(scene.seed),
-        "buildings": [
-            {
-                "center": [float(x) for x in b.center],
-                "half_extents": [float(x) for x in b.half_extents],
-                "yaw": float(b.yaw),
-                "label": int(b.label),
-            }
-            for b in scene.buildings
-        ],
+        "buildings": list(map(dict, map(zip, repeat(_SCENE_KEYS), rows))),
         "road_segments": int(scene.road_segments),
     }
     if scene.layout is not None:
-        doc["layout"] = {
-            "grid_dims": [int(x) for x in scene.layout.grid_dims],
-            "block": float(scene.layout.block),
-            "street": float(scene.layout.street),
-        }
+        layout = scene.layout
+        doc["layout"] = {"grid_dims": [int(x) for x in layout.grid_dims],
+                         "block": float(layout.block), "street": float(layout.street)}
     with atomic_open(path) as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
 
 
 def load_scene(path) -> CityScene:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    buildings = tuple(
-        Cuboid(
-            center=np.array(rec["center"], dtype=np.float64),
-            half_extents=np.array(rec["half_extents"], dtype=np.float64),
-            yaw=float(rec["yaw"]),
-            label=int(rec["label"]),
-        )
-        for rec in doc["buildings"]
-    )
-    layout = doc.get("layout")
-    if layout is not None:
-        layout = CityLayout(tuple(int(x) for x in layout["grid_dims"]),
-                            float(layout["block"]), float(layout["street"]))
-    return CityScene(buildings, int(doc["road_segments"]), int(doc["seed"]), layout)
+    with _json_document(path, "scene") as doc:
+        records = doc["buildings"]
+        n = len(records)
+        # one column per key, gathered in C; (n, 3) needs 3 numbers per building
+        center, half, yaw, labels = map(
+            np.asarray, tuple(zip(*map(itemgetter(*_SCENE_KEYS), records))) or ((),) * 4)
+        boxes = np.column_stack([np.reshape(center, (n, 3)), np.reshape(half, (n, 3)), yaw])
+        layout = doc.get("layout")
+        if layout is not None:
+            layout = CityLayout(tuple(int(x) for x in layout["grid_dims"]),
+                                float(layout["block"]), float(layout["street"]))
+        return CityScene(boxes, labels, int(doc["road_segments"]), int(doc["seed"]), layout)
 
 
 def save_ply(path, points: np.ndarray, labels: np.ndarray) -> None:

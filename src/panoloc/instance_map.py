@@ -179,12 +179,13 @@ def build_instance_map(points: np.ndarray, labels: np.ndarray) -> InstanceMap:
 
     transforms = {}
     skipped = {}
-    instance = labs >= FIRST_INSTANCE_LABEL
-    for label in np.unique(labs[instance]):
-        sel = labs == label
-        count = int(sel.sum())
-        if count < MIN_INSTANCE_POINTS:
-            skipped[int(label)] = count
+    # a stable sort keeps every instance's points in their input order
+    instance = np.flatnonzero(labs >= FIRST_INSTANCE_LABEL)
+    order = instance[np.argsort(labs[instance], kind="stable")]
+    labels_found, starts = np.unique(labs[order], return_index=True)
+    for label, members in zip(labels_found.tolist(), np.split(order, starts[1:])):
+        if members.size < MIN_INSTANCE_POINTS:
+            skipped[label] = members.size
             continue
-        transforms[int(label)] = fit_whitening(pts[sel], int(label))
+        transforms[label] = fit_whitening(pts[members], label)
     return InstanceMap(transforms, NUM_CLASS_LABELS + len(transforms), skipped)

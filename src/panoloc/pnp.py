@@ -96,7 +96,7 @@ class Correspondences:
     Bearings are normalized on construction; zero-length bearings raise.
     """
 
-    def __init__(self, bearings: np.ndarray, world_points: np.ndarray, pixels=None):
+    def __init__(self, bearings: np.ndarray, world_points: np.ndarray):
         b = np.ascontiguousarray(bearings, dtype=np.float64).reshape(-1, 3)
         w = np.ascontiguousarray(world_points, dtype=np.float64).reshape(-1, 3)
         if b.shape[0] != w.shape[0]:
@@ -106,15 +106,13 @@ class Correspondences:
             raise ValueError("bearings must be nonzero")
         self.bearings = b / norms[:, None]
         self.world_points = w
-        self.pixels = None if pixels is None else np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
 
     def __len__(self) -> int:
         return self.bearings.shape[0]
 
     def subset(self, indices) -> "Correspondences":
         idx = np.asarray(indices)
-        pixels = None if self.pixels is None else self.pixels[idx]
-        return Correspondences(self.bearings[idx], self.world_points[idx], pixels)
+        return Correspondences(self.bearings[idx], self.world_points[idx])
 
 
 @dataclass(frozen=True)

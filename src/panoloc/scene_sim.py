@@ -3,10 +3,13 @@ projection, prediction-noise simulation and cuboid map approximation.
 
 The world is y-up with an infinite ground plane at y = 0; buildings are
 yawed cuboids resting on the ground, each carrying a globally unique
-instance label. Ray casting renders exact per-pixel scene coordinates and
-panoptic labels for an equirectangular camera, standing in for a learned
-coordinate predictor whose errors are then simulated by a seeded noise
-model.
+instance label. A ``CityScene`` stores its buildings as two read-only
+arrays, validated once when the scene is built: ``boxes`` (B, 7) with one
+row [cx, cy, cz, hx, hy, hz, yaw] per building, and ``box_labels`` (B,)
+uint32. ``Cuboid`` is the value type of one row. Ray casting renders exact
+per-pixel scene coordinates and panoptic labels for an equirectangular
+camera, standing in for a learned coordinate predictor whose errors are
+then simulated by a seeded noise model.
 
 Ray casting culls (ray, box) pairs before the slab test. Each box gets a
 view cone from the camera: its axis points at the box centre and its
@@ -23,7 +26,8 @@ pairs, and the nearest hit wins with ties going to the lower box index,
 so the output does not depend on the culling.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
 import math
 
 import numpy as np
@@ -70,9 +74,66 @@ class PlacementError(RuntimeError):
     """City generation could not place the requested buildings."""
 
 
-@dataclass(frozen=True)
+def _cos_sin(yaw):
+    """cos and sin of yaw through math.cos and math.sin (np.cos may round differently)."""
+    yaw = np.asarray(yaw, dtype=np.float64)
+    return tuple(np.reshape(list(map(f, yaw.ravel().tolist())), yaw.shape)
+                 for f in (math.cos, math.sin))
+
+
+def _to_box_frame(points, center, cos, sin):
+    """Points (..., 3) in the frames of boxes: local = Ry(yaw)^T @ (point - center).
+    As Ry(yaw) = Ry(-yaw)^T, -sin for sin gives the box-to-world rotation, bit for bit."""
+    p = points - center
+    x, y, z = p[..., 0], p[..., 1], p[..., 2]
+    return np.stack([cos * x - sin * z, y, sin * x + cos * z], axis=-1)
+
+
+def _box_corners(center, half, cos, sin):
+    """(..., 8, 3) corners, in a fixed sign order, of boxes given by centres and
+    half extents (..., 3) and the cos and sin (...) of their yaws."""
+    offsets = _to_box_frame(_CORNER_SIGNS * half[..., None, :], 0.0, cos[..., None],
+                            -sin[..., None])
+    return offsets + center[..., None, :]
+
+
+def _checked_boxes(boxes, labels):
+    """Read-only float64 (B, 7) boxes and uint32 (B,) labels; raises ValueError
+    unless every value is finite, every half extent positive and every label
+    a distinct integer from FIRST_INSTANCE_LABEL to 2**32 - 1."""
+    boxes, labels = np.array(boxes, dtype=np.float64), np.asarray(labels)
+    if (boxes.ndim != 2 or boxes.shape[1] != 7 or labels.shape != boxes.shape[:1]
+            or labels.size and labels.dtype.kind not in "iu"):
+        raise ValueError(f"need boxes of shape (B, 7) and B integer labels, got boxes of "
+                         f"shape {boxes.shape} and labels of shape {labels.shape} ({labels.dtype})")
+    for problem, bad in (
+            ("a non-finite parameter", ~np.isfinite(boxes).all(axis=1)),
+            ("a half extent that is not positive", ~(boxes[:, 3:6] > 0.0).all(axis=1)),
+            (f"a label outside [{FIRST_INSTANCE_LABEL}, 2**32)",
+             (labels < FIRST_INSTANCE_LABEL) | (labels > np.iinfo(np.uint32).max))):
+        if bad.any():
+            raise ValueError(f"building {np.flatnonzero(bad)[0]} has {problem}")
+    ordered = np.sort(labels)  # np.unique would import numpy.ma, 15 ms of a cold start
+    if np.any(ordered[1:] == ordered[:-1]):
+        raise ValueError("building instance labels must be unique")
+    labels = labels.astype(np.uint32)
+    for array in (boxes, labels):
+        array.setflags(write=False)
+    return boxes, labels
+
+
+def _values_equal(a, b) -> bool:
+    """Field-by-field equality of two dataclass values, arrays compared by value."""
+    return type(a) is type(b) and all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
+                                      for f in fields(a))
+
+
+@dataclass(frozen=True, eq=False)
 class Cuboid:
-    """Yawed box resting on the ground: world = center + Ry(yaw) @ local."""
+    """Yawed box resting on the ground: world = center + Ry(yaw) @ local.
+
+    The value of one scene row, checked as CityScene checks its rows.
+    """
 
     center: np.ndarray
     half_extents: np.ndarray
@@ -80,60 +141,49 @@ class Cuboid:
     label: int
 
     def __post_init__(self):
-        center = np.asarray(self.center, dtype=np.float64).reshape(3)
-        half = np.asarray(self.half_extents, dtype=np.float64).reshape(3)
-        if np.any(half <= 0.0):
-            raise ValueError("half_extents must be positive")
-        if self.label < FIRST_INSTANCE_LABEL:
-            raise ValueError(f"instance labels start at {FIRST_INSTANCE_LABEL}")
-        center.setflags(write=False)
-        half.setflags(write=False)
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "half_extents", half)
+        (row,), _ = _checked_boxes(
+            [[*np.reshape(self.center, 3), *np.reshape(self.half_extents, 3), self.yaw]],
+            [self.label])
+        self.__dict__.update(center=row[0:3], half_extents=row[3:6], yaw=float(row[6]))
+
+    @classmethod
+    def _of_row(cls, row, label):
+        """The Cuboid of a checked scene row, without checking it again."""
+        box = object.__new__(cls)
+        box.__dict__.update(center=row[0:3], half_extents=row[3:6], yaw=float(row[6]),
+                            label=label)
+        return box
+
+    __eq__ = _values_equal
 
     def corners(self) -> np.ndarray:
         """(8, 3) world corners in a fixed sign order."""
-        local = _CORNER_SIGNS * self.half_extents
-        c, s = math.cos(self.yaw), math.sin(self.yaw)
-        world = np.empty_like(local)
-        world[:, 0] = c * local[:, 0] + s * local[:, 2] + self.center[0]
-        world[:, 1] = local[:, 1] + self.center[1]
-        world[:, 2] = -s * local[:, 0] + c * local[:, 2] + self.center[2]
-        return world
+        return _box_corners(self.center, self.half_extents, *_cos_sin(self.yaw))
 
     def contains(self, point: np.ndarray, margin: float = 0.0) -> bool:
-        p = np.asarray(point, dtype=np.float64) - self.center
-        c, s = math.cos(self.yaw), math.sin(self.yaw)
-        local = np.array([c * p[0] - s * p[2], p[1], s * p[0] + c * p[2]])
+        local = _to_box_frame(point, self.center, *_cos_sin(self.yaw))
         return bool(np.all(np.abs(local) <= self.half_extents + margin))
 
     def surface_distance(self, point: np.ndarray) -> float:
         """Unsigned distance from a point to the box surface."""
-        p = np.asarray(point, dtype=np.float64) - self.center
-        c, s = math.cos(self.yaw), math.sin(self.yaw)
-        local = np.abs(np.array([c * p[0] - s * p[2], p[1], s * p[0] + c * p[2]]))
-        d = local - self.half_extents
+        d = np.abs(_to_box_frame(point, self.center, *_cos_sin(self.yaw))) - self.half_extents
         outside = np.linalg.norm(np.maximum(d, 0.0))
         inside = -min(0.0, float(np.max(d)))
         return float(outside) if outside > 0.0 else inside
 
 
 def cuboids_overlap(a: Cuboid, b: Cuboid) -> bool:
-    """Separating-axis overlap test for two yawed, ground-aligned boxes."""
-    ay0, ay1 = a.center[1] - a.half_extents[1], a.center[1] + a.half_extents[1]
-    by0, by1 = b.center[1] - b.half_extents[1], b.center[1] + b.half_extents[1]
-    if ay1 <= by0 or by1 <= ay0:
-        return False
-    # footprint corners (y collapses pairs, any 4 distinct ones suffice)
-    rect_a = a.corners()[::2][:, [0, 2]]
-    rect_b = b.corners()[::2][:, [0, 2]]
-    for yaw in (a.yaw, b.yaw):
-        c, s = math.cos(yaw), math.sin(yaw)
-        for axis in ((c, -s), (s, c)):
-            pa = rect_a @ np.array(axis)
-            pb = rect_b @ np.array(axis)
-            if pa.max() <= pb.min() or pb.max() <= pa.min():
-                return False
+    """Separating-axis overlap test for two yawed, ground-aligned boxes.
+
+    The candidate axes are y and each box's own x and z, so each box's
+    corners are tested against the other box in that box's frame. Boxes
+    that only touch do not overlap.
+    """
+    for box, other in ((a, b), (b, a)):
+        local = _to_box_frame(other.corners(), box.center, *_cos_sin(box.yaw))
+        if np.any((local.min(axis=0) >= box.half_extents)
+                  | (local.max(axis=0) <= -box.half_extents)):
+            return False
     return True
 
 
@@ -162,42 +212,52 @@ class CityLayout:
         return x, z - (self.block / 2.0 + self.street / 2.0)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CityScene:
-    buildings: tuple
+    """Buildings as packed read-only arrays (see the module docstring).
+
+    ``from_cuboids`` builds a scene from ``Cuboid`` values; ``buildings``
+    gives one ``Cuboid`` per row, built on first use.
+    """
+
+    boxes: np.ndarray
+    box_labels: np.ndarray
     road_segments: int
     seed: int
-    layout: CityLayout = field(default=None, compare=False)
+    layout: CityLayout = None
 
     def __post_init__(self):
-        self.buildings = tuple(self.buildings)
-        labels = [b.label for b in self.buildings]
-        if len(set(labels)) != len(labels):
-            raise ValueError("building instance labels must be unique")
+        boxes, labels = _checked_boxes(self.boxes, self.box_labels)
+        cos, sin = _cos_sin(boxes[:, 6])
+        self.__dict__.update(boxes=boxes, box_labels=labels, _cos_yaw=cos, _sin_yaw=sin)
+
+    @classmethod
+    def from_cuboids(cls, cuboids, road_segments, seed, layout=None) -> "CityScene":
+        cuboids = tuple(cuboids)
+        boxes = np.array([[*c.center, *c.half_extents, c.yaw] for c in cuboids]).reshape(-1, 7)
+        return cls(boxes, np.array([c.label for c in cuboids], dtype=np.int64),
+                   road_segments, seed, layout)
+
+    __eq__ = _values_equal
+
+    @cached_property
+    def buildings(self) -> tuple:
+        return tuple(map(Cuboid._of_row, self.boxes, self.box_labels.tolist()))
 
     def labels(self) -> list:
-        return [b.label for b in self.buildings]
+        return self.box_labels.tolist()
 
-    def box_arrays(self):
-        """Packed (B, 8) parameters [cx,cy,cz,hx,hy,hz,cos,sin] plus labels."""
-        n = len(self.buildings)
-        params = np.empty((n, 8))
-        labels = np.empty(n, dtype=np.uint32)
-        for i, b in enumerate(self.buildings):
-            params[i, 0:3] = b.center
-            params[i, 3:6] = b.half_extents
-            params[i, 6] = math.cos(b.yaw)
-            params[i, 7] = math.sin(b.yaw)
-            labels[i] = b.label
-        return params, labels
+    def _corners(self, origin=0.0) -> np.ndarray:
+        """(B, 8, 3) building corners relative to ``origin``."""
+        return _box_corners(self.boxes[:, 0:3] - origin, self.boxes[:, 3:6],
+                            self._cos_yaw, self._sin_yaw)
 
     def aabb(self, inflate: float = 0.0) -> np.ndarray:
         """(2, 3) bounds over building corners and the ground plane."""
-        if not self.buildings:
+        if not self.boxes.size:
             return np.array([[-1.0, 0.0, -1.0], [1.0, 1.0, 1.0]])
-        corners = np.concatenate([b.corners() for b in self.buildings])
-        lo = corners.min(axis=0)
-        hi = corners.max(axis=0)
+        corners = self._corners().reshape(-1, 3)
+        lo, hi = corners.min(axis=0), corners.max(axis=0)
         lo[1] = min(lo[1], 0.0)
         span = hi - lo
         return np.array([lo - inflate * span, hi + inflate * span])
@@ -251,11 +311,11 @@ def generate_city(n_buildings: int, grid_dims=(13, 12), seed: int = 0, *,
     if footprint[1] * math.sqrt(2.0) >= block / 2.0:
         raise PlacementError("footprint range too large for the block size")
 
-    layout = CityLayout((gx, gz), float(block), float(street))
+    layout = CityLayout((int(gx), int(gz)), float(block), float(street))
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
     chosen = np.sort(rng.permutation(n_blocks)[:n_buildings])
 
-    buildings = []
+    boxes = np.empty((n_buildings, 7))
     for k, blk in enumerate(chosen):
         bx, bz = layout.block_center(int(blk))
         hx = rng.uniform(footprint[0], footprint[1])
@@ -265,13 +325,9 @@ def generate_city(n_buildings: int, grid_dims=(13, 12), seed: int = 0, *,
         margin = block / 2.0 - math.hypot(hx, hz) - 0.25
         ox = rng.uniform(-margin, margin) if margin > 0.0 else 0.0
         oz = rng.uniform(-margin, margin) if margin > 0.0 else 0.0
-        buildings.append(Cuboid(
-            center=np.array([bx + ox, hy, bz + oz]),
-            half_extents=np.array([hx, hy, hz]),
-            yaw=float(yaw),
-            label=FIRST_INSTANCE_LABEL + k,
-        ))
-    return CityScene(tuple(buildings), n_blocks, int(seed), layout)
+        boxes[k] = (bx + ox, hy, bz + oz, hx, hy, hz, yaw)
+    return CityScene(boxes, FIRST_INSTANCE_LABEL + np.arange(n_buildings), n_blocks,
+                     int(seed), layout)
 
 
 def sample_trajectory(scene: CityScene, n_poses: int, seed: int = 0, *,
@@ -302,14 +358,12 @@ def remove_buildings(scene: CityScene, fraction: float, seed: int = 0) -> CitySc
     """Drop a seeded uniform sample of floor(fraction * N) buildings."""
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must lie in [0, 1]")
-    n = len(scene.buildings)
+    n = len(scene.boxes)
     k = int(math.floor(fraction * n))
-    if k == 0:
-        return CityScene(scene.buildings, scene.road_segments, scene.seed, scene.layout)
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 2], dtype=np.uint64)))
-    removed = set(rng.permutation(n)[:k].tolist())
-    kept = tuple(b for i, b in enumerate(scene.buildings) if i not in removed)
-    return CityScene(kept, scene.road_segments, scene.seed, scene.layout)
+    kept = np.ones(n, dtype=bool)
+    kept[rng.permutation(n)[:k]] = False
+    return replace(scene, boxes=scene.boxes[kept], box_labels=scene.box_labels[kept])
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +381,7 @@ _CULL_MAX_HALF_ANGLE = math.radians(80.0)
 _PAIR_BATCH = 1 << 15
 
 
-def _pixel_windows(origin, rotation, params, dims):
+def _pixel_windows(origin, rotation, scene, dims):
     """Conservative pixel window of every box: (row0, nrows, col0, ncols).
 
     Box ``b`` can only be hit by rays of rows ``row0 .. row0 + nrows - 1``
@@ -335,16 +389,8 @@ def _pixel_windows(origin, rotation, params, dims):
     docstring for why no hit is lost.
     """
     width, height = dims
-    center = params[:, 0:3]
-    cos_yaw, sin_yaw = params[:, 6:7], params[:, 7:8]
-    local = _CORNER_SIGNS * params[:, None, 3:6]
-    offsets = np.empty_like(local)
-    offsets[..., 0] = cos_yaw * local[..., 0] + sin_yaw * local[..., 2]
-    offsets[..., 1] = local[..., 1]
-    offsets[..., 2] = -sin_yaw * local[..., 0] + cos_yaw * local[..., 2]
-    rel = center - origin
-    corners = (rel[:, None, :] + offsets) @ rotation  # camera frame, (B, 8, 3)
-    axis = rel @ rotation
+    corners = scene._corners(origin) @ rotation  # camera frame, (B, 8, 3)
+    axis = (scene.boxes[:, 0:3] - origin) @ rotation
     axis /= np.linalg.norm(axis, axis=1, keepdims=True)
     cos_angle = (np.einsum("bkj,bj->bk", corners, axis)
                  / np.linalg.norm(corners, axis=2))
@@ -393,27 +439,30 @@ def _window_pairs(windows, width, boxes):
     return np.repeat(seg_row * width, seg_len) + col, np.repeat(boxes[seg], seg_len)
 
 
-def _intersect_boxes(origin, rotation, dirs, params, dims):
+def _intersect_boxes(origin, rotation, dirs, scene, dims):
     """Nearest slab-test hit per ray: (t, box index or -1).
 
     Only the (ray, box) pairs inside each box's pixel window are tested.
-    Ties in t go to the lower box index.
+    Ties in t go to the lower box index. Raises ValueError if the camera
+    is inside a box.
     """
     n = dirs.shape[0]
-    nb = params.shape[0]
+    nb = scene.boxes.shape[0]
     t_out = np.full(n, np.inf)
     idx_out = np.full(n, -1, dtype=np.int64)
 
-    cx, cy, cz, hx, hy, hz, cos_yaw, sin_yaw = params.T
-    wx, wy, wz = origin[0] - cx, origin[1] - cy, origin[2] - cz
-    o = (cos_yaw * wx - sin_yaw * wz, wy, sin_yaw * wx + cos_yaw * wz)
-    half = (hx, hy, hz)
-    slab_lo = [-half[a] - o[a] for a in range(3)]
-    slab_hi = [half[a] - o[a] for a in range(3)]
-    inside = [(o[a] >= -half[a]) & (o[a] <= half[a]) for a in range(3)]
+    cos_yaw, sin_yaw = scene._cos_yaw, scene._sin_yaw
+    o = _to_box_frame(origin, scene.boxes[:, 0:3], cos_yaw, sin_yaw).T
+    half = scene.boxes[:, 3:6].T
+    slab_lo = -half - o
+    slab_hi = half - o
+    inside = (o >= -half) & (o <= half)
+    enclosing = np.flatnonzero(inside.all(axis=0))
+    if enclosing.size:
+        raise ValueError(f"camera centre lies inside building {scene.box_labels[enclosing[0]]}")
     dir_x, dir_y, dir_z = dirs[:, 0].copy(), dirs[:, 1].copy(), dirs[:, 2].copy()
 
-    windows = _pixel_windows(origin, rotation, params, dims)
+    windows = _pixel_windows(origin, rotation, scene, dims)
     counts = windows[1] * windows[3]
     batch_of = (np.cumsum(counts) - counts) // _PAIR_BATCH
     for boxes in np.split(np.arange(nb), np.flatnonzero(np.diff(batch_of)) + 1):
@@ -459,21 +508,11 @@ def raycast_render(scene: CityScene, pose: Pose, dims) -> tuple:
     """
     width, height = dims
     origin = pose.camera_center
-    params, labels = scene.box_arrays()
-    # Cuboid.contains for every building at once
-    rel = origin - params[:, 0:3]
-    cos_yaw, sin_yaw = params[:, 6], params[:, 7]
-    local = np.abs(np.stack([cos_yaw * rel[:, 0] - sin_yaw * rel[:, 2], rel[:, 1],
-                             sin_yaw * rel[:, 0] + cos_yaw * rel[:, 2]], axis=1))
-    inside = np.flatnonzero(np.all(local <= params[:, 3:6], axis=1))
-    if inside.size:
-        raise ValueError(f"camera centre lies inside building {labels[inside[0]]}")
-
     bearings = image_bearings(width, height)
     dirs = np.ascontiguousarray(bearings.reshape(-1, 3) @ pose.rotation.T)
     n = dirs.shape[0]
 
-    t_box, idx_box = _intersect_boxes(origin, pose.rotation, dirs, params, dims)
+    t_box, idx_box = _intersect_boxes(origin, pose.rotation, dirs, scene, dims)
 
     dy = dirs[:, 1]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -490,7 +529,7 @@ def raycast_render(scene: CityScene, pose: Pose, dims) -> tuple:
     out_labels = np.full(n, SKY_LABEL, dtype=np.uint32)
     out_labels[take_ground] = ROAD_LABEL
     box_hit = hit & ~take_ground
-    out_labels[box_hit] = labels[idx_box[box_hit]]
+    out_labels[box_hit] = scene.box_labels[idx_box[box_hit]]
 
     return (SceneCoordinateImage(coords.reshape(height, width, 3)),
             LabelImage(out_labels.reshape(height, width)))
@@ -624,6 +663,23 @@ def simulate_predictions(gt_coords: SceneCoordinateImage, gt_labels: LabelImage,
 # ---------------------------------------------------------------------------
 
 
+def _fit_boxes(points: np.ndarray) -> np.ndarray:
+    """(B, 7) boxes fitted to point sets (B, N, 3); see cuboid_approximation."""
+    xz = points[..., [0, 2]]
+    centered = xz - xz.mean(axis=1, keepdims=True)
+    cov = np.swapaxes(centered, 1, 2) @ centered / points.shape[1]
+    evals, evecs = np.linalg.eigh(cov)
+    yaw = np.arctan2(-evecs[:, 1, 1], evecs[:, 0, 1])
+    yaw -= np.round(yaw / (np.pi / 2.0)) * (np.pi / 2.0)
+    yaw[(evals[:, 1] <= 1e-12)
+        | (evals[:, 1] - evals[:, 0] <= 1e-9 * np.maximum(evals[:, 1], 1e-12))] = 0.0
+    cos, sin = _cos_sin(yaw)
+    local = _to_box_frame(points, 0.0, cos[:, None], sin[:, None])
+    lo, hi = local.min(axis=1), local.max(axis=1)
+    center = _to_box_frame((lo + hi) / 2.0, 0.0, cos, -sin)
+    return np.column_stack([center, np.maximum((hi - lo) / 2.0, 1e-6), yaw])
+
+
 def cuboid_approximation(points: np.ndarray, label: int) -> Cuboid:
     """Fit a ground-aligned cuboid to one instance's point cloud.
 
@@ -635,41 +691,15 @@ def cuboid_approximation(points: np.ndarray, label: int) -> Cuboid:
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     if pts.shape[0] < 4:
         raise ValueError(f"need at least 4 points to fit a cuboid, got {pts.shape[0]}")
-
-    xz = pts[:, [0, 2]]
-    centered = xz - xz.mean(axis=0)
-    cov = centered.T @ centered / pts.shape[0]
-    evals, evecs = np.linalg.eigh(cov)
-    spread = evals[1] - evals[0]
-    if evals[1] <= 1e-12 or spread <= 1e-9 * max(evals[1], 1e-12):
-        yaw = 0.0
-    else:
-        dx, dz = evecs[0, 1], evecs[1, 1]
-        yaw = math.atan2(-dz, dx)
-        yaw -= round(yaw / (math.pi / 2.0)) * (math.pi / 2.0)
-
-    c, s = math.cos(yaw), math.sin(yaw)
-    local = np.empty_like(pts)
-    local[:, 0] = c * pts[:, 0] - s * pts[:, 2]
-    local[:, 1] = pts[:, 1]
-    local[:, 2] = s * pts[:, 0] + c * pts[:, 2]
-    lo, hi = local.min(axis=0), local.max(axis=0)
-    center_local = (lo + hi) / 2.0
-    half = np.maximum((hi - lo) / 2.0, 1e-6)
-    center = np.array([
-        c * center_local[0] + s * center_local[2],
-        center_local[1],
-        -s * center_local[0] + c * center_local[2],
-    ])
-    return Cuboid(center, half, yaw, int(label))
+    box = _fit_boxes(pts[None])[0]
+    return Cuboid(box[0:3], box[3:6], box[6], int(label))
 
 
-def _same_box_geometry(a: Cuboid, b: Cuboid, tol: float = 1e-6) -> bool:
-    ca = a.corners()
-    cb = b.corners()
-    ca = ca[np.lexsort((ca[:, 2], ca[:, 1], ca[:, 0]))]
-    cb = cb[np.lexsort((cb[:, 2], cb[:, 1], cb[:, 0]))]
-    return bool(np.max(np.abs(ca - cb)) <= tol)
+def _same_box_geometry(a: np.ndarray, b: np.ndarray, tol: float = 1e-6) -> np.ndarray:
+    """Whether corner sets (B, 8, 3) ``a`` and ``b`` match within ``tol``, box by box."""
+    a, b = (np.take_along_axis(c, np.lexsort((c[..., 2], c[..., 1], c[..., 0]))[..., None], 1)
+            for c in (a, b))
+    return np.max(np.abs(a - b), axis=(1, 2)) <= tol
 
 
 def approximate_city(scene: CityScene) -> CityScene:
@@ -680,8 +710,6 @@ def approximate_city(scene: CityScene) -> CityScene:
     original parameters are kept, making cuboid scenes exact fixed points
     of the approximation.
     """
-    out = []
-    for b in scene.buildings:
-        fit = cuboid_approximation(b.corners(), b.label)
-        out.append(b if _same_box_geometry(fit, b) else fit)
-    return CityScene(tuple(out), scene.road_segments, scene.seed, scene.layout)
+    fit = replace(scene, boxes=_fit_boxes(scene._corners()))
+    same = _same_box_geometry(fit._corners(), scene._corners())
+    return replace(scene, boxes=np.where(same[:, None], scene.boxes, fit.boxes))

@@ -441,7 +441,7 @@ def _courtyard_scene():
         Cuboid(np.array([0.0, 2.0, 400.0]), np.array([5.0, 2.0, 5.0]), 0.1, 1007),
         Cuboid(np.array([-400.0, 2.0, 120.0]), np.array([5.0, 2.0, 5.0]), 0.0, 1008),
     ]
-    return CityScene(tuple(walls + interior + far), 9, 0)
+    return CityScene.from_cuboids(walls + interior + far, 9, 0)
 
 
 def test_criterion_10_building_removal(tmp_path):

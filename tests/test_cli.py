@@ -174,6 +174,29 @@ class TestErrorHandling:
                    "--iterations", 20, "--out", tmp_path / "loc") == 2
         assert str(bad) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("how", ["missing-yaw", "nan-center", "negative-half",
+                                     "duplicate-label"])
+    def test_malformed_scene_is_exit_2(self, tmp_path, capsys, how):
+        gen = tmp_path / "gen"
+        run("generate", "--buildings", 2, "--grid", "2x2", "--poses", 1,
+            "--seed", 0, "--out", gen)
+        doc = json.loads((gen / "scene.json").read_text())
+        rec = doc["buildings"][0]
+        if how == "missing-yaw":
+            del rec["yaw"]
+        elif how == "nan-center":
+            rec["center"][0] = float("nan")
+        elif how == "negative-half":
+            rec["half_extents"][1] = -2.0
+        else:
+            rec["label"] = doc["buildings"][1]["label"]
+        bad = tmp_path / "scene.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("render", "--scene", bad, "--poses", gen / "poses.jsonl",
+                   "--dims", "64x32", "--out", tmp_path / "f") == 2
+        assert str(bad) in capsys.readouterr().err
+
     def test_missing_scene_is_exit_2(self, tmp_path):
         assert run("render", "--scene", tmp_path / "nope.json",
                    "--poses", tmp_path / "nope.jsonl", "--out", tmp_path) == 2
@@ -197,7 +220,7 @@ class TestErrorHandling:
         from panoloc.scene_sim import CityScene, Cuboid, raycast_render
 
         box = Cuboid(np.array([0.0, 3.0, 0.0]), np.array([3.0, 3.0, 3.0]), 0.1, 1000)
-        scene = CityScene((box,), 1, 0)
+        scene = CityScene.from_cuboids((box,), 1, 0)
         frames = tmp_path / "frames"
         frames.mkdir()
         near = Pose(np.eye(3), -np.array([12.0, 2.0, 0.0]))

@@ -1,13 +1,17 @@
 import json
+from pathlib import Path
 import re
+import tempfile
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
 from panoloc import fileio
 from panoloc.images import LabelImage, SceneCoordinateImage
 from panoloc.instance_map import build_instance_map
-from panoloc.scene_sim import generate_city, sample_trajectory
+from panoloc.scene_sim import (CityLayout, CityScene, Cuboid, generate_city, remove_buildings,
+                               sample_trajectory)
 
 
 class TestCoordFiles:
@@ -235,6 +239,89 @@ class TestSceneFile:
             assert np.array_equal(pa.rotation, pb.rotation)
             assert np.array_equal(pa.translation, pb.translation)
         assert back.layout == scene.layout
+
+    def test_loaded_scene_equals_the_saved_one(self, tmp_path):
+        scene = generate_city(12, (4, 4), seed=3)
+        fileio.save_scene(tmp_path / "scene.json", scene)
+        back = fileio.load_scene(tmp_path / "scene.json")
+        assert back == scene and back.buildings == scene.buildings
+        assert back != remove_buildings(scene, 0.5, seed=1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.lists(st.tuples(
+               st.tuples(*[st.floats(-1e6, 1e6)] * 3),
+               st.tuples(*[st.floats(1e-6, 1e4)] * 3),
+               st.floats(-4.0, 4.0)), max_size=6),
+           first_label=st.integers(1000, 2**32 - 7), seed=st.integers(0, 2**31),
+           layout=st.none() | st.tuples(st.integers(1, 50), st.integers(1, 50),
+                                        st.floats(0.5, 100.0), st.floats(0.5, 100.0)))
+    def test_round_trip_property(self, rows, first_label, seed, layout):
+        # save, load, compare equal; a second save writes the same bytes
+        cuboids = [Cuboid(np.array(c), np.array(h), yaw, first_label + k)
+                   for k, (c, h, yaw) in enumerate(rows)]
+        if layout is not None:
+            layout = CityLayout(layout[:2], *layout[2:])
+        scene = CityScene.from_cuboids(cuboids, 4, seed, layout)
+        with tempfile.TemporaryDirectory() as tmp:
+            a, b = Path(tmp) / "a.json", Path(tmp) / "b.json"
+            fileio.save_scene(a, scene)
+            back = fileio.load_scene(a)
+            assert back == scene
+            fileio.save_scene(b, back)
+            assert a.read_bytes() == b.read_bytes()
+
+
+def _break_scene(doc, how):
+    rec = doc["buildings"][0]
+    if how.startswith("no-"):
+        del (rec if how[3:] in rec else doc)[how[3:]]
+    elif how == "center-nan":
+        rec["center"][0] = float("nan")
+    elif how == "yaw-inf":
+        rec["yaw"] = float("inf")
+    elif how == "half-negative":
+        rec["half_extents"][2] = -1.0
+    elif how == "half-zero":
+        rec["half_extents"][0] = 0.0
+    elif how == "center-shape":
+        rec["center"] = rec["center"][:2]
+    elif how == "half-shape":
+        rec["half_extents"].append(1.0)
+    elif how == "yaw-list":
+        rec["yaw"] = [rec["yaw"]]
+    elif how == "label-low":
+        rec["label"] = 999
+    elif how == "label-high":
+        rec["label"] = 2**32
+    elif how == "label-float":
+        rec["label"] = 1000.5
+    elif how == "label-duplicate":
+        rec["label"] = doc["buildings"][1]["label"]
+    elif how == "buildings-not-a-list":
+        doc["buildings"] = 5
+    elif how == "not-an-object":
+        doc = [doc]
+    return doc
+
+
+class TestStrictSceneReader:
+    @pytest.mark.parametrize("how", [
+        "no-center", "no-half_extents", "no-yaw", "no-label", "no-buildings", "no-seed",
+        "no-road_segments", "center-nan", "yaw-inf", "half-negative", "half-zero",
+        "center-shape", "half-shape", "yaw-list", "label-low", "label-high", "label-float",
+        "label-duplicate", "buildings-not-a-list", "not-an-object"])
+    def test_malformed_scene_names_the_file(self, tmp_path, how):
+        path = tmp_path / "scene.json"
+        fileio.save_scene(path, generate_city(3, (2, 2), seed=1))
+        path.write_text(json.dumps(_break_scene(json.loads(path.read_text()), how)))
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            fileio.load_scene(path)
+
+    def test_scene_without_buildings_loads(self, tmp_path):
+        scene = generate_city(0, (2, 2), seed=1)
+        fileio.save_scene(tmp_path / "scene.json", scene)
+        back = fileio.load_scene(tmp_path / "scene.json")
+        assert back == scene and back.boxes.shape == (0, 7)
 
 
 class TestPlyFile:

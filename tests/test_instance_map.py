@@ -142,6 +142,19 @@ class TestBuildInstanceMap:
         assert 1001 not in imap
         assert imap.skipped == {1001: 2}
 
+    def test_interleaved_labels_match_per_label_fits(self, rng):
+        # each instance is fitted from exactly its own points, bit for bit
+        labels = rng.choice([2, 1000, 1001, 1002, 1005], size=300)
+        labels[:3] = 1009
+        points = rng.normal(size=(300, 3)) * 5.0
+        imap = build_instance_map(points, labels)
+        assert imap.skipped == {1009: 3}
+        for label in (1000, 1001, 1002, 1005):
+            ref, tf = fit_whitening(points[labels == label], label), imap.get(label)
+            assert np.array_equal(tf.mean, ref.mean)
+            assert np.array_equal(tf.unwhiten_matrix, ref.unwhiten_matrix)
+            assert tf.point_count == ref.point_count
+
     def test_class_labels_carry_no_transform(self, rng):
         points = rng.normal(size=(20, 3))
         labels = np.array([2] * 10 + [1000] * 10)

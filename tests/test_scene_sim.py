@@ -27,7 +27,7 @@ def overhead_pose(height=10.0, x=0.0, z=0.0):
 
 def single_box_scene(center=(0.0, 1.0, 5.0), half=(0.5, 1.0, 0.5), yaw=0.0):
     box = Cuboid(np.array(center), np.array(half), yaw, 1000)
-    return CityScene((box,), 1, 0)
+    return CityScene.from_cuboids((box,), 1, 0)
 
 
 class TestGenerateCity:
@@ -167,14 +167,15 @@ class TestRaycast:
         assert not np.isnan(coords.coords[coords.mask]).any()
 
 
-def brute_force_hits(origin, dirs, params):
+def brute_force_hits(origin, dirs, scene):
     """Slab test of every (ray, box) pair: nearest hit per ray, ties to the
     lower box index. The reference the culled ray caster must equal bitwise."""
     n = dirs.shape[0]
     t_out = np.full(n, np.inf)
     idx_out = np.full(n, -1, dtype=np.int64)
-    for b in range(params.shape[0]):
-        cx, cy, cz, hx, hy, hz, cos_yaw, sin_yaw = params[b]
+    for b, box in enumerate(scene.buildings):
+        (cx, cy, cz), (hx, hy, hz) = box.center, box.half_extents
+        cos_yaw, sin_yaw = math.cos(box.yaw), math.sin(box.yaw)
         wx, wy, wz = origin[0] - cx, origin[1] - cy, origin[2] - cz
         o = np.array([cos_yaw * wx - sin_yaw * wz, wy, sin_yaw * wx + cos_yaw * wz])
         d = np.empty_like(dirs)
@@ -202,14 +203,13 @@ def brute_force_hits(origin, dirs, params):
 
 
 def assert_culled_matches_brute_force(scene, pose, dims):
-    params, _ = scene.box_arrays()
     dirs = np.ascontiguousarray(image_bearings(*dims).reshape(-1, 3) @ pose.rotation.T)
     origin = pose.camera_center
-    t_ref, idx_ref = brute_force_hits(origin, dirs, params)
-    t_cull, idx_cull = _intersect_boxes(origin, pose.rotation, dirs, params, dims)
+    t_ref, idx_ref = brute_force_hits(origin, dirs, scene)
+    t_cull, idx_cull = _intersect_boxes(origin, pose.rotation, dirs, scene, dims)
     assert np.array_equal(t_cull, t_ref)
     assert np.array_equal(idx_cull, idx_ref)
-    return _pixel_windows(origin, pose.rotation, params, dims)
+    return _pixel_windows(origin, pose.rotation, scene, dims)
 
 
 class TestCulledRaycast:
@@ -223,7 +223,7 @@ class TestCulledRaycast:
     def test_camera_next_to_tall_facade_tests_every_pixel(self):
         tall = Cuboid(np.array([0.0, 20.0, 5.0]), np.array([6.0, 20.0, 3.0]), 0.0, 1000)
         far = Cuboid(np.array([30.0, 4.0, -20.0]), np.array([3.0, 4.0, 3.0]), 0.2, 1001)
-        scene = CityScene((tall, far), 1, 0)
+        scene = CityScene.from_cuboids((tall, far), 1, 0)
         pose = heading_pose(np.array([0.5, 1.7, 1.95]), 0.3)  # 5 cm from the face
         row0, nrows, col0, ncols = assert_culled_matches_brute_force(scene, pose, DIMS)
         assert (row0[0], nrows[0], col0[0], ncols[0]) == (0, DIMS[1], 0, DIMS[0])
@@ -253,7 +253,7 @@ class TestCulledRaycast:
             monkeypatch.setattr(scene_sim, "_PAIR_BATCH", batch)
         boxes = [Cuboid(np.array([2.0, 1.5, 6.0]), np.array([1.0, 1.5, 2.0]), 0.4, 1000 + k)
                  for k in range(3)]
-        scene = CityScene(boxes, 1, 0)
+        scene = CityScene.from_cuboids(boxes, 1, 0)
         pose = heading_pose(np.array([0.0, 1.0, 0.0]), 0.2)
         assert_culled_matches_brute_force(scene, pose, (64, 32))
         _, labels = raycast_render(scene, pose, (64, 32))
@@ -261,12 +261,11 @@ class TestCulledRaycast:
 
     def test_candidate_pairs_follow_visible_buildings(self):
         scene = generate_city(LARGE_CITY["n_buildings"], LARGE_CITY["grid_dims"], seed=7)
-        params, _ = scene.box_arrays()
         width, height = 512, 256
         for _, pose in sample_trajectory(scene, 3, seed=7):
             _, nrows, _, ncols = _pixel_windows(pose.camera_center, pose.rotation,
-                                                params, (width, height))
-            assert (nrows * ncols).sum() < 0.01 * width * height * len(params)
+                                                scene, (width, height))
+            assert (nrows * ncols).sum() < 0.01 * width * height * len(scene.boxes)
 
     @settings(max_examples=60, deadline=None)
     @given(quat=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
@@ -296,8 +295,8 @@ class TestCulledRaycast:
         assume(not box.contains(camera))
         rot = quaternion_to_rotation(np.array(quat))
         width = 2 * height
-        params, _ = CityScene((box,), 1, 0).box_arrays()
-        row0, nrows, col0, ncols = (w[0] for w in _pixel_windows(camera, rot, params,
+        scene = CityScene.from_cuboids((box,), 1, 0)
+        row0, nrows, col0, ncols = (w[0] for w in _pixel_windows(camera, rot, scene,
                                                                  (width, height)))
         # the cone from the camera around the box centre through its farthest corner
         axis = (box.center - camera) / np.linalg.norm(box.center - camera)
