@@ -17,9 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, fileio, scene_sim
-from .geometry import (Pose, image_bearings, load_poses_jsonl,
-                       relative_pose_errors, save_poses_jsonl)
-from .images import FIRST_INSTANCE_LABEL
+from .fileio import load_poses_jsonl
+from .geometry import image_bearings, relative_pose_errors
 from .instance_map import build_instance_map
 from .pnp import Correspondences, NoConsensusError, RansacConfig, ransac_pnp
 
@@ -54,19 +53,24 @@ def _write_meta(out_dir: Path, command: str, args: argparse.Namespace) -> None:
     flags = {k: v for k, v in sorted(vars(args).items())
              if k not in skip and not callable(v)}
     meta = {"command": command, "seed": flags.get("seed"), "flags": flags}
-    with fileio.atomic_open(out_dir / f"{command.replace('-', '_')}_meta.json") as fh:
-        json.dump(meta, fh, indent=1, default=str)
-        fh.write("\n")
+    fileio.save_json(out_dir / f"{command.replace('-', '_')}_meta.json", meta, default=str)
 
 
-def _frame_files(frames_dir: Path) -> list:
-    frames = sorted(p.stem for p in frames_dir.glob("*.scrd"))
-    if not frames:
-        raise InputError(f"no *.scrd frames in {frames_dir}")
-    for frame in frames:
-        if not (frames_dir / f"{frame}.lbls").exists():
-            raise InputError(f"missing label file for frame {frame}")
-    return frames
+def _map_frames(work, items, threads: int) -> list:
+    """[work(item) for item in items], on ``threads`` threads when above 1."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(work, items))
+    return [work(item) for item in items]
+
+
+def _subsample(n: int, cap: int, seed: int, stream: int):
+    """Index of a seeded subset of ``cap`` of n items, in their order; all of
+    them when ``cap`` is 0 or at least n. Philox keyed by (seed, stream)."""
+    if not cap or n <= cap:
+        return slice(None)
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+    return np.sort(gen.permutation(n)[:cap])
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +93,7 @@ def cmd_generate(args) -> int:
     frames = scene_sim.sample_trajectory(scene, args.poses, seed=args.seed,
                                          height=args.camera_height)
     fileio.save_scene(out_dir / "scene.json", scene)
-    save_poses_jsonl(out_dir / "poses.jsonl", frames)
+    fileio.save_poses_jsonl(out_dir / "poses.jsonl", frames)
     _write_meta(out_dir, "generate", args)
     print(f"generate: {len(scene.box_labels)} buildings, {scene.road_segments} road segments, "
           f"{len(frames)} poses -> {out_dir}")
@@ -103,18 +107,11 @@ def cmd_render(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def render_one(item):
+    def render(item):
         frame, pose = item
-        coords, labels = scene_sim.raycast_render(scene, pose, dims)
-        fileio.save_coords(out_dir / f"{frame}.scrd", coords)
-        fileio.save_labels(out_dir / f"{frame}.lbls", labels)
+        fileio.save_frame(out_dir, frame, *scene_sim.raycast_render(scene, pose, dims))
 
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            list(pool.map(render_one, poses))
-    else:
-        for item in poses:
-            render_one(item)
+    _map_frames(render, poses, args.threads)
     _write_meta(out_dir, "render", args)
     print(f"render: {len(poses)} frames at {dims[0]}x{dims[1]} -> {out_dir}")
     return 0
@@ -128,21 +125,14 @@ def cmd_fit_map(args) -> int:
     elif args.frames:
         frames_dir = _require(args.frames, "frames directory")
         chunks_p, chunks_l = [], []
-        for i, frame in enumerate(_frame_files(frames_dir)):
-            coords = fileio.load_coords(frames_dir / f"{frame}.scrd")
-            labs = fileio.load_labels(frames_dir / f"{frame}.lbls")
-            sel = coords.mask & (labs.labels >= FIRST_INSTANCE_LABEL)
-            pts = coords.coords[sel]
-            lab = labs.labels[sel]
-            if args.max_points_per_frame and pts.shape[0] > args.max_points_per_frame:
-                gen = np.random.Generator(np.random.Philox(
-                    key=np.array([args.seed, 10_000 + i], dtype=np.uint64)))
-                keep = np.sort(gen.permutation(pts.shape[0])[:args.max_points_per_frame])
-                pts, lab = pts[keep], lab[keep]
-            chunks_p.append(pts)
-            chunks_l.append(lab)
-        points = np.concatenate(chunks_p) if chunks_p else np.empty((0, 3))
-        labels = np.concatenate(chunks_l) if chunks_l else np.empty(0, dtype=np.uint32)
+        for i, frame in enumerate(fileio.list_frames(frames_dir)):
+            coords, labs = fileio.load_frame(frames_dir, frame)
+            sel = coords.mask & labs.instance_mask
+            pts, lab = coords.coords[sel], labs.labels[sel]
+            keep = _subsample(len(pts), args.max_points_per_frame, args.seed, 10_000 + i)
+            chunks_p.append(pts[keep])
+            chunks_l.append(lab[keep])
+        points, labels = np.concatenate(chunks_p), np.concatenate(chunks_l)
     else:
         raise InputError("either --frames or --cloud is required")
 
@@ -151,9 +141,8 @@ def cmd_fit_map(args) -> int:
     meta_dir = out_path.parent
     _write_meta(meta_dir, "fit-map", args)
     if imap.skipped:
-        with fileio.atomic_open(meta_dir / "fit_map_skipped.json") as fh:
-            json.dump({str(k): v for k, v in sorted(imap.skipped.items())}, fh, indent=1)
-            fh.write("\n")
+        fileio.save_json(meta_dir / "fit_map_skipped.json",
+                         {str(k): v for k, v in sorted(imap.skipped.items())})
     print(f"fit-map: {len(imap)} instances ({len(imap.skipped)} skipped) -> {out_path}")
     return 0
 
@@ -168,56 +157,16 @@ def cmd_predict_sim(args) -> int:
         scene = fileio.load_scene(_require(args.scene, "scene file"))
         bounds = scene.aabb(inflate=0.1)
 
-    frames = _frame_files(frames_dir)
+    frames = fileio.list_frames(frames_dir)
     for i, frame in enumerate(frames):
-        coords = fileio.load_coords(frames_dir / f"{frame}.scrd")
-        labels = fileio.load_labels(frames_dir / f"{frame}.lbls")
-        noise = scene_sim.NoiseModel(
-            coord_sigma=args.sigma,
-            outlier_rate=args.outlier_rate,
-            label_flip_rate=args.label_flip_rate,
-            seed=args.seed + i,
-        )
-        pred_coords, pred_labels = scene_sim.simulate_predictions(
-            coords, labels, noise, imap, bounds=bounds)
-        fileio.save_coords(out_dir / f"{frame}.scrd", pred_coords)
-        fileio.save_labels(out_dir / f"{frame}.lbls", pred_labels)
+        noise = scene_sim.NoiseModel(coord_sigma=args.sigma, outlier_rate=args.outlier_rate,
+                                     label_flip_rate=args.label_flip_rate, seed=args.seed + i)
+        fileio.save_frame(out_dir, frame, *scene_sim.simulate_predictions(
+            *fileio.load_frame(frames_dir, frame), noise, imap, bounds=bounds))
     _write_meta(out_dir, "predict-sim", args)
     print(f"predict-sim: {len(frames)} frames (sigma={args.sigma}, "
           f"outliers={args.outlier_rate}, flips={args.label_flip_rate}) -> {out_dir}")
     return 0
-
-
-def _localize_frame(index, frame, frames_dir, imap, bearings, dims, args):
-    coords = fileio.load_coords(frames_dir / f"{frame}.scrd")
-    labels = fileio.load_labels(frames_dir / f"{frame}.lbls")
-    if (coords.width, coords.height) != dims:
-        raise InputError(f"frame {frame} dims differ from {dims}")
-    map_labels = np.array(imap.instance_labels(), dtype=np.uint32)
-    sel = coords.mask & np.isin(labels.labels, map_labels)
-    rows, cols = np.nonzero(sel)
-    if rows.size < 4:
-        return frame, None, 0, float("nan"), f"only {rows.size} usable building pixels"
-
-    if args.max_corrs and rows.size > args.max_corrs:
-        gen = np.random.Generator(np.random.Philox(
-            key=np.array([args.seed, 20_000 + index], dtype=np.uint64)))
-        keep = np.sort(gen.permutation(rows.size)[:args.max_corrs])
-        rows, cols = rows[keep], cols[keep]
-
-    corrs = Correspondences(bearings[rows, cols], coords.coords[rows, cols])
-    cfg = RansacConfig(
-        iterations=args.iterations,
-        inlier_threshold_deg=args.threshold_deg,
-        min_sample=args.min_sample,
-        seed=args.seed + index,
-    )
-    try:
-        est = ransac_pnp(corrs, cfg)
-    except NoConsensusError as exc:
-        return frame, None, 0, float("nan"), str(exc)
-    return (frame, est.pose, int(est.inlier_indices.size),
-            float(est.mean_inlier_angle_deg), None)
 
 
 def cmd_localize(args) -> int:
@@ -225,23 +174,30 @@ def cmd_localize(args) -> int:
     imap = fileio.load_instance_map(_require(args.map, "instance map"))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    map_labels = np.array(imap.instance_labels(), dtype=np.uint32)
 
-    frames = _frame_files(frames_dir)
-    first = fileio.load_coords(frames_dir / f"{frames[0]}.scrd")
-    dims = (first.width, first.height)
-    bearings = image_bearings(*dims)
-
-    def work(item):
+    def localize(item):
+        """(frame, pose | None, inliers, mean residual, failure reason | None)"""
         index, frame = item
-        return _localize_frame(index, frame, frames_dir, imap, bearings, dims, args)
+        coords, labels = fileio.load_frame(frames_dir, frame)
+        rows, cols = np.nonzero(coords.mask & np.isin(labels.labels, map_labels))
+        if rows.size < 4:
+            return frame, None, 0, float("nan"), f"only {rows.size} usable building pixels"
+        keep = _subsample(rows.size, args.max_corrs, args.seed, 20_000 + index)
+        rows, cols = rows[keep], cols[keep]
+        bearings = image_bearings(coords.width, coords.height)
+        corrs = Correspondences(bearings[rows, cols], coords.coords[rows, cols])
+        cfg = RansacConfig(iterations=args.iterations, inlier_threshold_deg=args.threshold_deg,
+                           min_sample=args.min_sample, seed=args.seed + index)
+        try:
+            est = ransac_pnp(corrs, cfg)
+        except NoConsensusError as exc:
+            return frame, None, 0, float("nan"), str(exc)
+        return (frame, est.pose, int(est.inlier_indices.size),
+                float(est.mean_inlier_angle_deg), None)
 
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(work, enumerate(frames)))
-    else:
-        results = [work(item) for item in enumerate(frames)]
-
-    results.sort(key=lambda r: r[0])
+    results = _map_frames(localize, list(enumerate(fileio.list_frames(frames_dir))),
+                          args.threads)
     fileio.save_estimates_jsonl(out_dir / "estimates.jsonl", results)
     _write_meta(out_dir, "localize", args)
     n_failed = sum(1 for r in results if r[1] is None)
@@ -280,34 +236,26 @@ def cmd_evaluate(args) -> int:
     if args.pred_frames and args.gt_frames:
         pred_dir = _require(args.pred_frames, "predicted frames")
         gt_dir = _require(args.gt_frames, "ground-truth frames")
-        dists_all, dists_bld = [], []
-        for frame in _frame_files(gt_dir):
-            pred = fileio.load_coords(pred_dir / f"{frame}.scrd")
-            gt = fileio.load_coords(gt_dir / f"{frame}.scrd")
-            gt_labels = fileio.load_labels(gt_dir / f"{frame}.lbls")
-            d, n = evaluation.coord_distances(pred, gt)
-            if n:
-                dists_all.append(d)
-            d, n = evaluation.coord_distances(pred, gt, select=gt_labels.instance_mask)
-            if n:
-                dists_bld.append(d)
+        chunks = {"coord": [], "coord_buildings": []}
+        for frame in fileio.list_frames(gt_dir):
+            pred = fileio.load_frame_coords(pred_dir, frame)
+            gt, gt_labels = fileio.load_frame(gt_dir, frame)
+            chunks["coord"].append(evaluation.coord_distances(pred, gt)[0])
+            chunks["coord_buildings"].append(
+                evaluation.coord_distances(pred, gt, select=gt_labels.instance_mask)[0])
         rows = []
-        for key, chunks in (("coord", dists_all), ("coord_buildings", dists_bld)):
-            if not chunks:
-                continue
-            dist = np.concatenate(chunks)
-            report[key] = evaluation.coord_metrics(dist, dist.size).as_dict()
-            pct = [100.0 * float((dist <= t).sum()) / dist.size for t in _ROC_THRESHOLDS]
-            rows.append((key, pct))
+        for key, parts in chunks.items():
+            dist = np.concatenate(parts)
+            if dist.size:
+                report[key] = evaluation.coord_metrics(dist, dist.size).as_dict()
+                rows.append((key, evaluation.roc_percentages(dist, dist.size, _ROC_THRESHOLDS)))
         if rows:
             with fileio.atomic_open(out_dir / "roc.csv") as fh:
                 fh.write("threshold_m," + ",".join(key for key, _ in rows) + "\n")
                 for i, t in enumerate(_ROC_THRESHOLDS):
-                    fh.write(f"{t:g}," + ",".join(f"{pct[i]!r}" for _, pct in rows) + "\n")
+                    fh.write(f"{t:g}," + ",".join(f"{float(pct[i])!r}" for _, pct in rows) + "\n")
 
-    with fileio.atomic_open(out_dir / "report.json") as fh:
-        json.dump(report, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    fileio.save_json(out_dir / "report.json", report, sort_keys=True)
     _write_meta(out_dir, "evaluate", args)
     if "pose" in report:
         pm = report["pose"]
@@ -330,15 +278,6 @@ def _write_curve(path, values) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="global random seed")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads")
-    parser.add_argument("--config", type=str, default=None,
-                        help="JSON config file; explicit flags override it")
-    parser.add_argument("--out", type=str, required=False, default="out",
-                        help="output directory (or file for fit-map)")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="panoloc",
@@ -346,33 +285,35 @@ def build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
     subparsers = {}
 
-    p = subs.add_parser("generate", help="generate a city and camera trajectory")
+    def add(name, func, help, **defaults):
+        p = subparsers[name] = subs.add_parser(name, help=help)
+        p.add_argument("--seed", type=int, default=0, help="global random seed")
+        p.add_argument("--threads", type=int, default=1, help="worker threads")
+        p.add_argument("--config", type=str, default=None,
+                       help="JSON config file; explicit flags override it")
+        p.add_argument("--out", type=str, required=False, default="out",
+                       help="output directory (or file for fit-map)")
+        p.set_defaults(func=func, **defaults)
+        return p
+
+    p = add("generate", cmd_generate, "generate a city and camera trajectory")
     p.add_argument("--preset", choices=["small", "large"], default=None)
     p.add_argument("--buildings", type=int, default=None)
     p.add_argument("--grid", type=str, default="13x12", help="block grid GXxGZ")
     p.add_argument("--poses", type=int, default=100)
     p.add_argument("--camera-height", type=float, default=2.0)
-    _add_common(p)
-    p.set_defaults(func=cmd_generate)
-    subparsers["generate"] = p
 
-    p = subs.add_parser("render", help="ray-cast ground-truth frames")
+    p = add("render", cmd_render, "ray-cast ground-truth frames")
     p.add_argument("--scene", type=str, required=True)
     p.add_argument("--poses", type=str, required=True)
     p.add_argument("--dims", type=str, default="512x256")
-    _add_common(p)
-    p.set_defaults(func=cmd_render)
-    subparsers["render"] = p
 
-    p = subs.add_parser("fit-map", help="fit per-instance whitening transforms")
+    p = add("fit-map", cmd_fit_map, "fit per-instance whitening transforms", out="map.json")
     p.add_argument("--frames", type=str, default=None)
     p.add_argument("--cloud", type=str, default=None, help="ASCII PLY point cloud")
     p.add_argument("--max-points-per-frame", type=int, default=0)
-    _add_common(p)
-    p.set_defaults(func=cmd_fit_map, out="map.json")
-    subparsers["fit-map"] = p
 
-    p = subs.add_parser("predict-sim", help="simulate predictor output from ground truth")
+    p = add("predict-sim", cmd_predict_sim, "simulate predictor output from ground truth")
     p.add_argument("--frames", type=str, required=True)
     p.add_argument("--map", type=str, required=True)
     p.add_argument("--scene", type=str, default=None,
@@ -380,11 +321,8 @@ def build_parser():
     p.add_argument("--sigma", type=float, default=0.0)
     p.add_argument("--outlier-rate", type=float, default=0.0)
     p.add_argument("--label-flip-rate", type=float, default=0.0)
-    _add_common(p)
-    p.set_defaults(func=cmd_predict_sim)
-    subparsers["predict-sim"] = p
 
-    p = subs.add_parser("localize", help="estimate poses from predicted frames")
+    p = add("localize", cmd_localize, "estimate poses from predicted frames")
     p.add_argument("--frames", type=str, required=True)
     p.add_argument("--map", type=str, required=True)
     p.add_argument("--iterations", type=int, default=1000)
@@ -392,21 +330,14 @@ def build_parser():
     p.add_argument("--min-sample", type=int, default=4)
     p.add_argument("--max-corrs", type=int, default=5000,
                    help="seeded per-frame correspondence cap (0 = no cap)")
-    _add_common(p)
-    p.set_defaults(func=cmd_localize)
-    subparsers["localize"] = p
 
-    p = subs.add_parser("evaluate", help="score estimates and predictions")
+    p = add("evaluate", cmd_evaluate, "score estimates and predictions")
     p.add_argument("--estimates", type=str, required=True)
     p.add_argument("--gt-poses", type=str, required=True)
     p.add_argument("--pred-frames", type=str, default=None)
     p.add_argument("--gt-frames", type=str, default=None)
     p.add_argument("--percentiles", type=str, default="",
                    help="extra pose percentiles, e.g. '80'")
-    _add_common(p)
-    p.set_defaults(func=cmd_evaluate)
-    subparsers["evaluate"] = p
-
     return parser, subparsers
 
 

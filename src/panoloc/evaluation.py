@@ -23,6 +23,7 @@ __all__ = [
     "coord_accuracy",
     "pose_metrics",
     "error_curves",
+    "roc_percentages",
     "distance_roc",
     "CONVENTIONS",
 ]
@@ -169,15 +170,20 @@ def error_curves(errors):
     return np.sort(arr[:, 0], kind="stable"), np.sort(arr[:, 1], kind="stable")
 
 
+def roc_percentages(dist: np.ndarray, n_valid: int, thresholds) -> np.ndarray:
+    """Cumulative accuracy curve from per-pixel distances (see
+    :func:`coord_distances`), pooled over one or more frames: % of the
+    ``n_valid`` pixels within each threshold."""
+    if n_valid == 0:
+        raise EmptyMetricsError("no overlapping valid pixels to evaluate")
+    return np.array([100.0 * float((dist <= t).sum()) / n_valid for t in thresholds])
+
+
 def distance_roc(pred: SceneCoordinateImage, gt: SceneCoordinateImage,
                  thresholds, select: np.ndarray = None):
-    """Cumulative accuracy curve: % of pixels within each threshold.
+    """Cumulative accuracy curve: (thresholds, % of pixels within each).
 
     Agrees exactly with :func:`coord_accuracy` at shared thresholds.
     """
-    dist, n_valid = coord_distances(pred, gt, select)
-    if n_valid == 0:
-        raise EmptyMetricsError("no overlapping valid pixels to evaluate")
     grid = np.asarray(thresholds, dtype=np.float64)
-    pct = np.array([100.0 * float((dist <= t).sum()) / n_valid for t in grid])
-    return grid, pct
+    return grid, roc_percentages(*coord_distances(pred, gt, select), grid)

@@ -3,14 +3,20 @@
   Scene coordinates: "SCRD1\\n" + "W H 3\\n" + little-endian float32,
     row-major, channel-interleaved; NaN marks invalid pixels.
   Labels: "LBLS1\\n" + "W H\\n" + little-endian uint32 per pixel.
+  Frame directories: one <frame>.scrd and one <frame>.lbls per frame;
+    list_frames, load_frame, load_frame_coords and save_frame are the
+    only code that knows this layout.
   Instance map: JSON {"labels": [{"id", "mean", "W", "count"}], "label_count"}
     with "W" the 3x3 unwhitening matrix in row-major order.
   Scene: JSON {"seed", "buildings": [{"center", "half_extents", "yaw",
     "label"}], "road_segments"}, one building per row of the scene's box
     array, plus "layout": {"grid_dims", "block", "street"} if it has one.
   Point clouds: ASCII PLY with float x, y, z and uint instance_label.
-  Poses: JSON Lines, see geometry.save_poses_jsonl; estimate files add
-    "inliers" and "mean_residual_deg" per record.
+  Poses: JSON Lines, one record {"frame", "q", "t"} per frame: q is the
+    unit quaternion [w, x, y, z] of the camera-to-world rotation with
+    w >= 0, t the translation of the world->camera map. Estimate records
+    add "inliers" and "mean_residual_deg"; a frame that failed is written
+    {"frame", "failed": true, "reason"}.
 
 All writers are deterministic: identical inputs give identical bytes.
 They write a temporary file in the target's directory and rename it over
@@ -21,14 +27,19 @@ bytes with a ValueError that names the file. The instance-map and scene
 readers do the same for malformed JSON, a missing key, a value of the
 wrong shape and a non-finite value; the first also for a singular W, the
 second for a half extent that is not positive and a label below 1000,
-above 2**32 - 1, not an integer or used twice.
+above 2**32 - 1, not an integer or used twice. The pose and estimate
+readers share one line reader, which does the same per line, naming the
+line too: for a frame that is not a string or is repeated, a q that is not
+4 finite numbers or is zero, and a t that is not 3 finite numbers.
 """
 
 from contextlib import contextmanager
 from itertools import repeat
 import json
 from operator import itemgetter
+import math
 import os
+from pathlib import Path
 import threading
 
 import numpy as np
@@ -40,6 +51,7 @@ from .scene_sim import CityLayout, CityScene
 
 __all__ = [
     "atomic_open",
+    "save_json",
     "save_coords",
     "load_coords",
     "save_labels",
@@ -48,8 +60,14 @@ __all__ = [
     "load_instance_map",
     "save_scene",
     "load_scene",
+    "list_frames",
+    "load_frame",
+    "load_frame_coords",
+    "save_frame",
     "save_ply",
     "load_ply",
+    "save_poses_jsonl",
+    "load_poses_jsonl",
     "save_estimates_jsonl",
     "load_estimates_jsonl",
 ]
@@ -79,6 +97,13 @@ def atomic_open(path, mode="w"):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def save_json(path, doc, **options) -> None:
+    """Write a JSON document, one-space indented, ending in a newline."""
+    with atomic_open(path) as fh:
+        json.dump(doc, fh, indent=1, **options)
+        fh.write("\n")
 
 
 def _read_image(path, magic, kind, channels):
@@ -140,6 +165,34 @@ def load_labels(path) -> LabelImage:
     return LabelImage(arr.copy())
 
 
+def list_frames(frames_dir) -> list:
+    """Sorted frame names in a frame directory; a ValueError names the
+    directory if it holds no frame or a frame without its label file."""
+    frames_dir = Path(frames_dir)
+    frames = sorted(p.stem for p in frames_dir.glob("*.scrd"))
+    if not frames:
+        raise ValueError(f"no *.scrd frames in {frames_dir}")
+    for frame in frames:
+        if not (frames_dir / f"{frame}.lbls").exists():
+            raise ValueError(f"{frames_dir}: missing label file for frame {frame}")
+    return frames
+
+
+def load_frame_coords(frames_dir, frame) -> SceneCoordinateImage:
+    """The scene coordinates of one frame, without reading its labels."""
+    return load_coords(Path(frames_dir) / f"{frame}.scrd")
+
+
+def load_frame(frames_dir, frame) -> tuple:
+    """(SceneCoordinateImage, LabelImage) of one frame."""
+    return load_frame_coords(frames_dir, frame), load_labels(Path(frames_dir) / f"{frame}.lbls")
+
+
+def save_frame(frames_dir, frame, coords: SceneCoordinateImage, labels: LabelImage) -> None:
+    save_coords(Path(frames_dir) / f"{frame}.scrd", coords)
+    save_labels(Path(frames_dir) / f"{frame}.lbls", labels)
+
+
 def save_instance_map(path, imap: InstanceMap) -> None:
     records = []
     for label in imap.instance_labels():
@@ -151,23 +204,28 @@ def save_instance_map(path, imap: InstanceMap) -> None:
             "count": int(tf.point_count),
         })
     doc = {"labels": records, "label_count": int(imap.label_count)}
-    with atomic_open(path) as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    save_json(path, doc)
+
+
+@contextmanager
+def _named_errors(where, kind):
+    """A KeyError, TypeError (as from a document that is not an object),
+    ValueError or OverflowError raised in the block names ``where``."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{where}: missing key {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{where}: malformed {kind}: {exc}") from None
 
 
 @contextmanager
 def _json_document(path, kind):
-    """Yield the JSON document in ``path``. A KeyError, TypeError (as from a document
-    that is not an object) or ValueError raised in the block names the file."""
+    """Yield the JSON document in ``path``; errors in the block name the file."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    try:
+    with _named_errors(path, kind):
         yield json.loads(text)
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: malformed {kind}: {exc}") from None
 
 
 def load_instance_map(path) -> InstanceMap:
@@ -206,9 +264,7 @@ def save_scene(path, scene: CityScene) -> None:
         layout = scene.layout
         doc["layout"] = {"grid_dims": [int(x) for x in layout.grid_dims],
                          "block": float(layout.block), "street": float(layout.street)}
-    with atomic_open(path) as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    save_json(path, doc)
 
 
 def load_scene(path) -> CityScene:
@@ -272,40 +328,66 @@ def load_ply(path):
     return points, labels
 
 
-def save_estimates_jsonl(path, records) -> None:
-    """Write per-frame estimate records.
+def _pose_record(frame, pose: Pose) -> dict:
+    return {"frame": str(frame), "q": [float(x) for x in rotation_to_quaternion(pose.rotation)],
+            "t": [float(x) for x in pose.translation]}
 
-    Each record is (frame, pose | None, inliers, mean_residual_deg,
-    failure_reason | None); failed frames get {"failed": true}.
-    """
+
+def _write_jsonl(path, records) -> None:
     with atomic_open(path) as fh:
-        for frame, pose, inliers, mean_residual, reason in records:
-            if pose is None:
-                rec = {"frame": str(frame), "failed": True, "reason": str(reason)}
-            else:
-                rec = {
-                    "frame": str(frame),
-                    "q": [float(x) for x in rotation_to_quaternion(pose.rotation)],
-                    "t": [float(x) for x in pose.translation],
-                    "inliers": int(inliers),
-                    "mean_residual_deg": float(mean_residual),
-                }
-            fh.write(json.dumps(rec) + "\n")
+        fh.writelines(json.dumps(rec) + "\n" for rec in records)
+
+
+def save_poses_jsonl(path, frames_and_poses) -> None:
+    _write_jsonl(path, (_pose_record(frame, pose) for frame, pose in frames_and_poses))
+
+
+def save_estimates_jsonl(path, records) -> None:
+    """Write (frame, pose | None, inliers, mean_residual_deg, reason | None) records."""
+    _write_jsonl(path, ({"frame": str(frame), "failed": True, "reason": str(reason)} if pose is None
+                        else {**_pose_record(frame, pose), "inliers": int(inliers),
+                              "mean_residual_deg": float(mean_residual)}
+                        for frame, pose, inliers, mean_residual, reason in records))
+
+
+def _vector(rec, key, size) -> np.ndarray:
+    value = rec[key]
+    if not (isinstance(value, list) and len(value) == size
+            and all(type(x) in (int, float) and math.isfinite(x) for x in value)):
+        raise ValueError(f"{key!r} must be {size} finite numbers, got {value!r}")
+    return np.array(value, dtype=np.float64)
+
+
+def _pose(rec) -> Pose:
+    return Pose(quaternion_to_rotation(_vector(rec, "q", 4)), _vector(rec, "t", 3))
+
+
+def _read_jsonl(path, parse) -> list:
+    """[parse(record)] for the records of a pose or estimate file: one JSON
+    object per line, whose "frame" is a string that no other line repeats."""
+    out, seen = [], set()
+    with open(path, "r", encoding="utf-8") as fh:
+        for number, line in enumerate(fh, 1):
+            if line.strip():
+                with _named_errors(f"{path}, line {number}", "record"):
+                    rec = json.loads(line)
+                    frame = rec["frame"]
+                    if not isinstance(frame, str):
+                        raise ValueError(f"frame {frame!r} is not a string")
+                    if frame in seen:
+                        raise ValueError(f"frame {frame!r} repeated")
+                    seen.add(frame)
+                    out.append(parse(rec))
+    return out
+
+
+def load_poses_jsonl(path) -> list:
+    """Read [(frame, Pose)] from a pose file."""
+    return _read_jsonl(path, lambda rec: (rec["frame"], _pose(rec)))
 
 
 def load_estimates_jsonl(path) -> list:
-    """Read [(frame, Pose | None, inliers, mean_residual_deg, reason)]."""
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            if rec.get("failed"):
-                out.append((rec["frame"], None, 0, float("nan"), rec.get("reason", "")))
-            else:
-                pose = Pose(quaternion_to_rotation(np.array(rec["q"])), np.array(rec["t"]))
-                out.append((rec["frame"], pose, int(rec.get("inliers", 0)),
-                            float(rec.get("mean_residual_deg", float("nan"))), None))
-    return out
+    """Read [(frame, Pose | None, inliers, mean_residual_deg, reason | None)]."""
+    return _read_jsonl(path, lambda rec: (
+        (rec["frame"], None, 0, math.nan, str(rec["reason"])) if rec.get("failed") else
+        (rec["frame"], _pose(rec), int(rec["inliers"]), float(rec["mean_residual_deg"]), None)))

@@ -12,11 +12,12 @@ Conventions used throughout the package:
   Pose: rotation R is camera-to-world, translation T is defined by
       X_cam = R^T @ X_world + T
     so the camera centre in world coordinates is -R @ T.
+
+This module does no file I/O; poses are written and read by fileio.
 """
 
 from dataclasses import dataclass
 import functools
-import json
 import math
 
 import numpy as np
@@ -30,8 +31,6 @@ __all__ = [
     "rotation_to_quaternion",
     "quaternion_to_rotation",
     "heading_pose",
-    "load_poses_jsonl",
-    "save_poses_jsonl",
 ]
 
 _ORTHONORMAL_TOL = 1e-9
@@ -226,35 +225,3 @@ def heading_pose(center: np.ndarray, heading: float) -> Pose:
     center = np.asarray(center, dtype=np.float64).reshape(3)
     translation = -rot.T @ center
     return Pose(rot, translation)
-
-
-def save_poses_jsonl(path, frames_and_poses) -> None:
-    """Write poses as JSON Lines records {"frame", "q", "t"}.
-
-    ``q`` is the unit quaternion [w, x, y, z] of the rotation with w >= 0;
-    ``t`` is the translation of the world->camera map.
-    """
-    from .fileio import atomic_open  # fileio imports this module
-
-    with atomic_open(path) as fh:
-        for frame, pose in frames_and_poses:
-            rec = {
-                "frame": str(frame),
-                "q": [float(x) for x in rotation_to_quaternion(pose.rotation)],
-                "t": [float(x) for x in pose.translation],
-            }
-            fh.write(json.dumps(rec) + "\n")
-
-
-def load_poses_jsonl(path) -> list:
-    """Read [(frame, Pose)] from a pose JSON Lines file."""
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            pose = Pose(quaternion_to_rotation(np.array(rec["q"])), np.array(rec["t"]))
-            out.append((rec["frame"], pose))
-    return out

@@ -577,10 +577,20 @@ def _score_block(rot, t, pts, brs, lift, threshold_deg):
 
 
 def epnp_bearing(corrs: Correspondences) -> Pose:
-    """Absolute pose from >= 4 bearing/world-point correspondences."""
+    """Absolute pose from >= 4 bearing/world-point correspondences, by EPnP;
+    from 4 by P3P on each triple, the left-out point picking the candidate
+    and the least mean residual the triple (EPnP's Gauss-Newton stops at a
+    wrong minimum on about half of the noiseless 4-point sets)."""
     if len(corrs) < 4:
         raise ValueError(f"need at least 4 correspondences, got {len(corrs)}")
-    ok, rot, t, _ = _solve_epnp(corrs.world_points, corrs.bearings)
+    pts, brs = corrs.world_points, corrs.bearings
+    if len(corrs) == 4:
+        triples = (np.arange(4) + np.arange(4)[:, None]) % 4  # every point picks once
+        ok, rot, t = _solve_p3p_batch(pts[triples], brs[triples])
+        best = int(np.argmin(np.where(ok, _residuals(rot, t, pts, brs).mean(axis=1), np.inf)))
+        ok, rot, t = ok[best], rot[best], t[best]
+    else:
+        ok, rot, t, _ = _solve_epnp(pts, brs)
     if not ok:
         raise DegenerateConfigError("correspondences are collinear or otherwise degenerate")
     return Pose(rot, t)

@@ -646,10 +646,11 @@ def simulate_predictions(gt_coords: SceneCoordinateImage, gt_labels: LabelImage,
                 new = map_labels[draw]
                 local = np.empty((n_flips, 3))
                 flat_coords = coords[flip_mask]
-                for lab in np.unique(old):
+                # labels present, ascending (np.unique would import numpy.ma)
+                for lab in map_labels[np.bincount(pos, minlength=map_labels.size) > 0]:
                     sel = old == lab
                     local[sel] = whiten(imap.get(int(lab)), flat_coords[sel])
-                for lab in np.unique(new):
+                for lab in map_labels[np.bincount(draw, minlength=map_labels.size) > 0]:
                     sel = new == lab
                     flat_coords[sel] = unwhiten(imap.get(int(lab)), local[sel])
                 coords[flip_mask] = flat_coords

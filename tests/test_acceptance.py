@@ -18,8 +18,8 @@ from conftest import random_pose, synthetic_corrs
 from panoloc import fileio
 from panoloc.cli import main as cli_main
 from panoloc.evaluation import coord_distances, error_curves, pose_metrics
-from panoloc.geometry import (Pose, image_bearings, load_poses_jsonl,
-                              pixel_to_bearing, relative_pose_errors)
+from panoloc.fileio import load_poses_jsonl
+from panoloc.geometry import Pose, image_bearings, pixel_to_bearing, relative_pose_errors
 from panoloc.images import SceneCoordinateImage
 from panoloc.instance_map import build_instance_map, fit_whitening, unwhiten, whiten
 from panoloc.losses import loss_l1_repr
@@ -332,7 +332,7 @@ def test_criterion_08_approximate_map_fixed_point(tmp_path):
     fileio.save_scene(tmp_path / "exact.json", scene)
     fileio.save_scene(tmp_path / "approx.json", approx)
     frames = sample_trajectory(scene, 8, seed=88)
-    from panoloc.geometry import save_poses_jsonl
+    from panoloc.fileio import save_poses_jsonl
     save_poses_jsonl(tmp_path / "poses.jsonl", frames)
 
     outputs = {}

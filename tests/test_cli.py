@@ -1,11 +1,18 @@
+import importlib
 import json
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import panoloc
 from panoloc import fileio
 from panoloc.cli import main
-from panoloc.geometry import load_poses_jsonl, relative_pose_errors
+from panoloc.fileio import load_poses_jsonl
+from panoloc.geometry import relative_pose_errors
 
 
 def run(*argv):
@@ -82,6 +89,19 @@ class TestPipeline:
         meta = json.loads((mini_pipeline / "loc" / "localize_meta.json").read_text())
         assert meta["flags"]["iterations"] == 200
         assert meta["flags"]["threshold_deg"] == 0.22
+
+    def test_evaluate_reads_no_predicted_label_file(self, mini_pipeline, tmp_path):
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        for path in (mini_pipeline / "pred").glob("*.scrd"):
+            (pred / path.name).write_bytes(path.read_bytes())
+        assert run("evaluate", "--estimates", mini_pipeline / "loc" / "estimates.jsonl",
+                   "--gt-poses", mini_pipeline / "gen" / "poses.jsonl", "--pred-frames", pred,
+                   "--gt-frames", mini_pipeline / "frames", "--percentiles", "80",
+                   "--out", tmp_path / "eval") == 0
+        for name in ("report.json", "roc.csv"):
+            assert (tmp_path / "eval" / name).read_bytes() == \
+                (mini_pipeline / "eval" / name).read_bytes()
 
 
 class TestDeterminism:
@@ -196,6 +216,36 @@ class TestErrorHandling:
         assert run("render", "--scene", bad, "--poses", gen / "poses.jsonl",
                    "--dims", "64x32", "--out", tmp_path / "f") == 2
         assert str(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("how", ["nan-t", "inf-t", "missing-q", "malformed-line",
+                                     "repeated-frame"])
+    @pytest.mark.parametrize("which", ["poses", "estimates"])
+    def test_malformed_pose_records_are_exit_2(self, mini_pipeline, tmp_path, capsys,
+                                               which, how):
+        files = {"poses": mini_pipeline / "gen" / "poses.jsonl",
+                 "estimates": mini_pipeline / "loc" / "estimates.jsonl"}
+        lines = files[which].read_text().splitlines()
+        rec = json.loads(lines[1])
+        if how == "nan-t":
+            rec["t"][0] = float("nan")
+        elif how == "inf-t":
+            rec["t"][2] = float("-inf")
+        elif how == "missing-q":
+            del rec["q"]
+        elif how == "repeated-frame":
+            rec["frame"] = json.loads(lines[0])["frame"]
+        lines[1] = json.dumps(rec)[:-1] if how == "malformed-line" else json.dumps(rec)
+        files[which] = bad = tmp_path / f"{which}.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("evaluate", "--estimates", files["estimates"], "--gt-poses", files["poses"],
+                   "--out", tmp_path / "eval") == 2
+        assert f"{bad}, line 2" in capsys.readouterr().err
+        assert not (tmp_path / "eval" / "report.json").exists()
+        if which == "poses":
+            assert run("render", "--scene", mini_pipeline / "gen" / "scene.json",
+                       "--poses", bad, "--dims", "64x32", "--out", tmp_path / "f") == 2
+            assert f"{bad}, line 2" in capsys.readouterr().err
 
     def test_missing_scene_is_exit_2(self, tmp_path):
         assert run("render", "--scene", tmp_path / "nope.json",
@@ -355,3 +405,55 @@ class TestFitMapInputs:
         mb = fileio.load_instance_map(out_b).get(1000)
         assert np.abs(ma.mean - mb.mean).max() < 1e-9
         assert np.abs(ma.unwhiten_matrix - mb.unwhiten_matrix).max() < 1e-9
+
+
+class TestColdStart:
+    def test_fit_map_and_predict_sim_do_not_import_numpy_ma(self, mini_pipeline, tmp_path):
+        # np.unique imports numpy.ma, which costs a one-stage process ~15 ms
+        frames, imap, pred = mini_pipeline / "frames", tmp_path / "map.json", tmp_path / "pred"
+        script = (
+            "import sys\n"
+            "from panoloc.cli import main\n"
+            f"assert main(['fit-map', '--frames', {str(frames)!r}, '--out', {str(imap)!r}]) == 0\n"
+            f"assert main(['predict-sim', '--frames', {str(frames)!r}, '--map', {str(imap)!r},"
+            f" '--label-flip-rate', '0.3', '--seed', '1', '--out', {str(pred)!r}]) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+        src = str(Path(panoloc.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split()[-1] == "False"
+        flipped = sum(
+            np.count_nonzero(fileio.load_frame(pred, f)[1].labels
+                             != fileio.load_frame(frames, f)[1].labels)
+            for f in fileio.list_frames(frames))
+        assert flipped > 0
+
+
+class TestBenchmarkTrace:
+    def test_traced_round_records_every_span(self, mini_pipeline, tmp_path, monkeypatch):
+        # the benchmark wraps module attributes by name: a call that goes
+        # around one of them drops its span
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        worker = importlib.import_module("worker")
+        gen, out = mini_pipeline / "gen", tmp_path
+        stages = [
+            ["render", "--scene", gen / "scene.json", "--poses", gen / "poses.jsonl",
+             "--dims", "128x64", "--out", out / "frames"],
+            ["fit-map", "--frames", out / "frames", "--out", out / "map.json"],
+            ["predict-sim", "--frames", out / "frames", "--map", out / "map.json",
+             "--sigma", "0.1", "--label-flip-rate", "0.02", "--seed", "3", "--out", out / "pred"],
+            ["localize", "--frames", out / "pred", "--map", out / "map.json",
+             "--iterations", "200", "--seed", "3", "--out", out / "loc"],
+            ["evaluate", "--estimates", out / "loc" / "estimates.jsonl", "--gt-poses",
+             gen / "poses.jsonl", "--pred-frames", out / "pred", "--gt-frames",
+             out / "frames", "--out", out / "eval"],
+        ]
+        result = worker.run_round(panoloc, [[str(a) for a in argv] for argv in stages],
+                                  traced=True)
+        assert [error for _, error in result["stages"]] == [None] * len(stages)
+        names = {span["name"] for span in result["spans"]}
+        assert names >= {"fileio.read", "fileio.write", "scene_sim.raycast_render",
+                         "scene_sim.simulate_predictions", "geometry.image_bearings",
+                         "instance_map.build_instance_map", "pnp.ransac_pnp",
+                         "pnp.epnp_bearing", "evaluation"}

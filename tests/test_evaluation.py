@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from panoloc.evaluation import (EmptyMetricsError, coord_accuracy, distance_roc,
-                                error_curves, pose_metrics)
+from panoloc.evaluation import (EmptyMetricsError, coord_accuracy, coord_distances,
+                                distance_roc, error_curves, pose_metrics, roc_percentages)
 from panoloc.images import SceneCoordinateImage
 
 
@@ -181,3 +181,15 @@ class TestDistanceRoc:
                     if d <= grid[10]:
                         hits += 1
         assert pct[10] == 100.0 * hits / n_valid
+
+    def test_pooled_distances_weigh_frames_by_their_pixels(self, rng):
+        frames = [random_pair(rng), random_pair(rng, h=4, w=8)]
+        grid = [0.5, 1.0, 3.0]
+        dists = [coord_distances(pred, gt) for pred, gt in frames]
+        pooled = roc_percentages(np.concatenate([d for d, _ in dists]),
+                                 sum(n for _, n in dists), grid)
+        weighted = sum(distance_roc(pred, gt, grid)[1] * n for (pred, gt), (_, n)
+                       in zip(frames, dists)) / sum(n for _, n in dists)
+        assert np.allclose(pooled, weighted, rtol=1e-12)
+        with pytest.raises(EmptyMetricsError):
+            roc_percentages(np.empty(0), 0, grid)

@@ -7,7 +7,10 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
+from conftest import random_pose
 from panoloc import fileio
+from panoloc.fileio import load_poses_jsonl, save_poses_jsonl
+from panoloc.geometry import Pose, quaternion_to_rotation, relative_pose_errors
 from panoloc.images import LabelImage, SceneCoordinateImage
 from panoloc.instance_map import build_instance_map
 from panoloc.scene_sim import (CityLayout, CityScene, Cuboid, generate_city, remove_buildings,
@@ -359,3 +362,174 @@ class TestEstimateFiles:
         assert back[0][3] == pytest.approx(0.004)
         assert back[1][1] is None
         assert "building pixels" in back[1][4]
+
+
+class TestPoseFile:
+    def test_round_trip(self, tmp_path, rng):
+        frames = [(f"{i:06d}", random_pose(rng)) for i in range(7)]
+        path = tmp_path / "poses.jsonl"
+        save_poses_jsonl(path, frames)
+        loaded = load_poses_jsonl(path)
+        assert [f for f, _ in loaded] == [f for f, _ in frames]
+        for (_, orig), (_, back) in zip(frames, loaded):
+            dist, angle = relative_pose_errors(orig, back)
+            assert dist < 1e-12
+            assert angle < 1e-6
+
+    def test_quaternion_sign_normalized(self, tmp_path, rng):
+        import json
+        frames = [(str(i), random_pose(rng)) for i in range(20)]
+        path = tmp_path / "poses.jsonl"
+        save_poses_jsonl(path, frames)
+        for line in path.read_text().splitlines():
+            assert json.loads(line)["q"][0] >= 0.0
+
+    def test_deterministic_bytes(self, tmp_path, rng):
+        frames = [(str(i), random_pose(rng)) for i in range(5)]
+        p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        save_poses_jsonl(p1, frames)
+        save_poses_jsonl(p2, frames)
+        assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestFrameDirectories:
+    def test_saved_frames_load_back_in_order(self, tmp_path, rng):
+        images = {}
+        for frame in ("000002", "000000", "000001"):
+            coords = rng.uniform(-50, 50, (4, 8, 3))
+            coords[0, 0] = np.nan
+            labels = rng.integers(0, 2000, (4, 8)).astype(np.uint32)
+            fileio.save_frame(tmp_path, frame, SceneCoordinateImage(coords), LabelImage(labels))
+            images[frame] = (coords.astype(np.float32), labels)
+        assert fileio.list_frames(tmp_path) == ["000000", "000001", "000002"]
+        for frame, (coords, labels) in images.items():
+            back_coords, back_labels = fileio.load_frame(tmp_path, frame)
+            assert np.array_equal(back_coords.coords, coords, equal_nan=True)
+            assert np.array_equal(back_labels.labels, labels)
+            assert np.array_equal(fileio.load_frame_coords(tmp_path, frame).coords,
+                                  back_coords.coords, equal_nan=True)
+
+    def test_bad_directory_is_named(self, tmp_path):
+        with pytest.raises(ValueError, match=re.escape(f"no *.scrd frames in {tmp_path}")):
+            fileio.list_frames(tmp_path)
+        fileio.save_frame(tmp_path, "000000", SceneCoordinateImage(np.zeros((2, 4, 3))),
+                          LabelImage(np.zeros((2, 4), dtype=np.uint32)))
+        (tmp_path / "000000.lbls").unlink()
+        with pytest.raises(ValueError, match=f"{re.escape(str(tmp_path))}.*frame 000000"):
+            fileio.list_frames(tmp_path)
+        # the coordinates of a frame load without its label file
+        assert fileio.load_frame_coords(tmp_path, "000000").coords.shape == (2, 4, 3)
+
+
+GOOD_POSE = '{"frame": "000000", "q": [1.0, 0.0, 0.0, 0.0], "t": [1.0, 2.0, 3.0]}'
+GOOD_ESTIMATE = ('{"frame": "000000", "q": [1.0, 0.0, 0.0, 0.0], "t": [1.0, 2.0, 3.0], '
+                 '"inliers": 10, "mean_residual_deg": 0.1}')
+BAD_POSE_LINES = {
+    "not-json": '{"frame": "000001", "q": [1, 0, 0, 0], "t": [0, 0, 0]',
+    "not-an-object": '["000001", [1, 0, 0, 0], [0, 0, 0]]',
+    "no-frame": '{"q": [1, 0, 0, 0], "t": [0, 0, 0]}',
+    "frame-not-a-string": '{"frame": 1, "q": [1, 0, 0, 0], "t": [0, 0, 0]}',
+    "repeated-frame": '{"frame": "000000", "q": [1, 0, 0, 0], "t": [0, 0, 0]}',
+    "no-q": '{"frame": "000001", "t": [0, 0, 0]}',
+    "q-nan": '{"frame": "000001", "q": [NaN, 0, 0, 1], "t": [0, 0, 0]}',
+    "q-inf": '{"frame": "000001", "q": [Infinity, 0, 0, 1], "t": [0, 0, 0]}',
+    "q-short": '{"frame": "000001", "q": [1, 0, 0], "t": [0, 0, 0]}',
+    "q-zero": '{"frame": "000001", "q": [0, 0, 0, 0], "t": [0, 0, 0]}',
+    "q-strings": '{"frame": "000001", "q": ["1", "0", "0", "0"], "t": [0, 0, 0]}',
+    "q-huge-int": '{"frame": "000001", "q": [1' + '0' * 400 + ', 0, 0, 0], "t": [0, 0, 0]}',
+    "no-t": '{"frame": "000001", "q": [1, 0, 0, 0]}',
+    "t-nan": '{"frame": "000001", "q": [1, 0, 0, 0], "t": [0, NaN, 0]}',
+    "t-inf": '{"frame": "000001", "q": [1, 0, 0, 0], "t": [0, 0, -Infinity]}',
+    "t-long": '{"frame": "000001", "q": [1, 0, 0, 0], "t": [0, 0, 0, 0]}',
+    "t-null": '{"frame": "000001", "q": [1, 0, 0, 0], "t": null}',
+    "t-bools": '{"frame": "000001", "q": [1, 0, 0, 0], "t": [true, false, true]}',
+}
+BAD_ESTIMATE_LINES = {
+    **{how: line.replace("}", ', "inliers": 10, "mean_residual_deg": 0.1}')
+       for how, line in BAD_POSE_LINES.items() if how != "not-json"},
+    "not-json": BAD_POSE_LINES["not-json"],
+    "no-inliers": '{"frame": "000001", "q": [1, 0, 0, 0], "t": [0, 0, 0], '
+                  '"mean_residual_deg": 0.1}',
+    "failed-without-reason": '{"frame": "000001", "failed": true}',
+}
+
+
+class TestStrictPoseReaders:
+    @pytest.mark.parametrize("how", BAD_POSE_LINES)
+    def test_bad_pose_line_names_file_and_line(self, tmp_path, how):
+        path = tmp_path / "poses.jsonl"
+        path.write_text(f"{GOOD_POSE}\n\n{BAD_POSE_LINES[how]}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 3")):
+            load_poses_jsonl(path)
+
+    @pytest.mark.parametrize("how", BAD_ESTIMATE_LINES)
+    def test_bad_estimate_line_names_file_and_line(self, tmp_path, how):
+        path = tmp_path / "estimates.jsonl"
+        path.write_text(f"{GOOD_ESTIMATE}\n{BAD_ESTIMATE_LINES[how]}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 2")):
+            fileio.load_estimates_jsonl(path)
+
+    def test_failed_record_is_no_pose(self, tmp_path):
+        path = tmp_path / "poses.jsonl"
+        path.write_text('{"frame": "000000", "failed": true, "reason": "x"}\n')
+        with pytest.raises(ValueError, match="missing key 'q'"):
+            load_poses_jsonl(path)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+poses = st.builds(
+    lambda q, t: Pose(quaternion_to_rotation(q), t),
+    st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+        lambda q: np.linalg.norm(q) > 1e-3),
+    st.lists(finite, min_size=3, max_size=3))
+
+
+def assert_resave_keeps_records(first, second):
+    """Two files hold the same records, keys in the same order; q may differ
+    in its last bits, as a quaternion -> rotation -> quaternion trip rounds."""
+    lines_a, lines_b = first.read_text().splitlines(), second.read_text().splitlines()
+    assert len(lines_a) == len(lines_b)
+    for a, b in zip(lines_a, lines_b):
+        rec_a, rec_b = json.loads(a), json.loads(b)
+        assert list(rec_a) == list(rec_b)
+        q_a, q_b = rec_a.pop("q", None), rec_b.pop("q", None)
+        assert rec_a == rec_b
+        if q_a is not None:
+            assert np.abs(quaternion_to_rotation(q_a) - quaternion_to_rotation(q_b)).max() < 1e-14
+
+
+class TestPoseRecordRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(records=st.lists(st.tuples(st.text(), poses), unique_by=lambda r: r[0], max_size=6))
+    def test_poses_save_load_save(self, records):
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "a.jsonl", Path(tmp) / "b.jsonl"
+            save_poses_jsonl(first, records)
+            back = load_poses_jsonl(first)
+            assert [frame for frame, _ in back] == [frame for frame, _ in records]
+            for (_, pose), (_, loaded) in zip(records, back):
+                assert np.array_equal(loaded.translation, pose.translation)
+                assert np.abs(loaded.rotation - pose.rotation).max() < 1e-14
+            save_poses_jsonl(second, back)
+            assert_resave_keeps_records(first, second)
+
+    @settings(max_examples=60, deadline=None)
+    @given(records=st.lists(
+        st.tuples(st.text(), st.none() | poses, st.integers(0, 10 ** 6), finite, st.text()),
+        unique_by=lambda r: r[0], max_size=6))
+    def test_estimates_save_load_save(self, records):
+        records = [(frame, pose, inliers, residual, None if pose else reason)
+                   for frame, pose, inliers, residual, reason in records]
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "a.jsonl", Path(tmp) / "b.jsonl"
+            fileio.save_estimates_jsonl(first, records)
+            back = fileio.load_estimates_jsonl(first)
+            for (frame, pose, inliers, residual, reason), loaded in zip(records, back, strict=True):
+                assert loaded[0] == frame and loaded[4] == reason
+                if pose is None:
+                    assert loaded[1] is None and loaded[2] == 0 and np.isnan(loaded[3])
+                else:
+                    assert np.array_equal(loaded[1].translation, pose.translation)
+                    assert loaded[2:4] == (inliers, residual)
+            fileio.save_estimates_jsonl(second, back)
+            assert_resave_keeps_records(first, second)

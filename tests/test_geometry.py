@@ -5,10 +5,9 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 from conftest import random_pose
-from panoloc.geometry import (Pose, bearing_to_pixel, image_bearings,
-                              load_poses_jsonl, pixel_to_bearing,
+from panoloc.geometry import (Pose, bearing_to_pixel, image_bearings, pixel_to_bearing,
                               quaternion_to_rotation, relative_pose_errors,
-                              rotation_to_quaternion, save_poses_jsonl)
+                              rotation_to_quaternion)
 
 W, H = 512, 256
 
@@ -186,31 +185,3 @@ class TestQuaternions:
             if expected[0] < 0:
                 expected = -expected
             assert np.abs(q - expected).max() < 1e-9
-
-
-class TestPoseFile:
-    def test_round_trip(self, tmp_path, rng):
-        frames = [(f"{i:06d}", random_pose(rng)) for i in range(7)]
-        path = tmp_path / "poses.jsonl"
-        save_poses_jsonl(path, frames)
-        loaded = load_poses_jsonl(path)
-        assert [f for f, _ in loaded] == [f for f, _ in frames]
-        for (_, orig), (_, back) in zip(frames, loaded):
-            dist, angle = relative_pose_errors(orig, back)
-            assert dist < 1e-12
-            assert angle < 1e-6
-
-    def test_quaternion_sign_normalized(self, tmp_path, rng):
-        import json
-        frames = [(str(i), random_pose(rng)) for i in range(20)]
-        path = tmp_path / "poses.jsonl"
-        save_poses_jsonl(path, frames)
-        for line in path.read_text().splitlines():
-            assert json.loads(line)["q"][0] >= 0.0
-
-    def test_deterministic_bytes(self, tmp_path, rng):
-        frames = [(str(i), random_pose(rng)) for i in range(5)]
-        p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        save_poses_jsonl(p1, frames)
-        save_poses_jsonl(p2, frames)
-        assert p1.read_bytes() == p2.read_bytes()

@@ -84,7 +84,8 @@ class TestEpnpBearing:
         with pytest.raises(DegenerateConfigError):
             epnp_bearing(Correspondences(bearings, pts))
 
-    @pytest.mark.parametrize("n, planar, trials", [(5, False, 200), (20, False, 200),
+    @pytest.mark.parametrize("n, planar, trials", [(4, False, 1000), (5, False, 200),
+                                                   (20, False, 200),
                                                    (20_000, False, 5), (8, True, 200)])
     def test_noiseless_points_give_the_exact_pose(self, rng, n, planar, trials):
         for _ in range(trials):
@@ -92,6 +93,18 @@ class TestEpnpBearing:
             dist, angle = pose_error(epnp_bearing(synthetic_corrs(pose, n, rng, planar=planar)),
                                      pose)
             assert dist < 1e-9 and angle < 1e-9
+
+    def test_four_points_with_a_collinear_triple(self, rng):
+        # the first three points are collinear, the set is not: another
+        # triple solves
+        for _ in range(50):
+            pose = random_pose(rng)
+            corrs = synthetic_corrs(pose, 4, rng)
+            pts = corrs.world_points.copy()
+            pts[2] = pts[0] + rng.uniform(-2.0, 2.0) * (pts[1] - pts[0])
+            cam = pose.world_to_camera(pts)
+            dist, angle = pose_error(epnp_bearing(Correspondences(cam, pts)), pose)
+            assert dist < 1e-6 and angle < 1e-6
 
     def test_rigid_equivariance(self, rng):
         from panoloc.geometry import quaternion_to_rotation
