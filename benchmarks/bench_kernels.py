@@ -10,10 +10,13 @@ timed through the public ``ransac_pnp`` on 500 points and on 5000 points
 (the localize cap), both with 1000 iterations and the default inlier
 threshold, and in the shape of the pipeline benchmark's noisy-sparse
 workload: 500 points, 30% outliers, 4000 iterations, a 0.6 degree
-threshold. The scene rows time ``load_scene`` and one 512x256
-``raycast_render`` on the large preset (827 buildings) and on 52,000
-buildings of a 230x230 grid, where render time should follow what the
-camera sees, not the building count.
+threshold. The localize layer rows split ``ransac_pnp`` at 5000 points
+and 1000 iterations into its steps, each timed on the previous step's
+output: the sample draw, the P3P solves, the prefilter bound pass, the
+exact pass and the three refits. The scene rows time ``save_scene``,
+``load_scene`` and one 512x256 ``raycast_render`` on the large preset
+(827 buildings) and on 52,000 buildings of a 230x230 grid, where render
+time should follow what the camera sees, not the building count.
 
 Usage:
     python benchmarks/bench_kernels.py [--repeats 5] [--rays 131072] ...
@@ -28,6 +31,7 @@ import numpy as np
 
 from panoloc.fileio import load_scene, save_scene
 from panoloc.geometry import quaternion_to_rotation, Pose
+from panoloc import pnp
 from panoloc.pnp import Correspondences, RansacConfig, _residuals, _solve_epnp, ransac_pnp
 from panoloc.scene_sim import (LARGE_CITY, SMALL_CITY, generate_city, raycast_render,
                                sample_trajectory)
@@ -122,19 +126,63 @@ def run_benchmarks(args):
         ("ransac 5000 pts / 1000 it", best_of(
             lambda: ransac_pnp(data["cap_corrs"], RansacConfig(seed=1)), repeats)),
     ]
-    return rows + scene_rows(args.repeats)
+    return rows + localize_rows(data["cap_corrs"], args.repeats) + scene_rows(args.repeats)
+
+
+def localize_rows(corrs, repeats):
+    """The steps of ransac_pnp at 5000 points and 1000 iterations, serially."""
+    cfg = RansacConfig(seed=1)
+    thr, pts, brs = cfg.inlier_threshold_deg, corrs.world_points, corrs.bearings
+    chunks = range(0, cfg.iterations, pnp._HYPOTHESIS_CHUNK)
+    samples = pnp._draw_samples(cfg.seed, cfg.iterations, len(corrs), cfg.min_sample)
+
+    def solve():
+        return [pnp._solve_p3p_batch(pts[samples[lo:lo + pnp._HYPOTHESIS_CHUNK]],
+                                     brs[samples[lo:lo + pnp._HYPOTHESIS_CHUNK]])
+                for lo in chunks]
+
+    solved = solve()
+    lift = pnp._lift_points(pts, brs)
+    rots = np.concatenate([s[1] for s in solved])
+    ts = np.concatenate([s[2] for s in solved])
+
+    def bound():
+        bounds = np.zeros(cfg.iterations, dtype=np.int64)
+        for lo, (good, rot, t) in zip(chunks, solved):
+            bounds[lo:lo + len(good)][good] = pnp._prefilter_bounds(rot[good], t[good], lift, thr)
+        return bounds
+
+    bounds = bound()
+    res = pnp._exact_pass(bounds, rots, ts, pts, brs, thr)[3]
+
+    def refit():
+        for widen in pnp._REFIT_WIDENING:
+            pnp.angular_residuals(pnp.epnp_bearing(corrs.subset(np.flatnonzero(
+                res < widen * thr))), corrs)
+
+    n = len(corrs)
+    return [
+        (f"localize sample draw, {n} pts", best_of(
+            lambda: pnp._draw_samples(cfg.seed, cfg.iterations, n, cfg.min_sample), repeats)),
+        ("localize p3p solves, 1000 it", best_of(solve, repeats)),
+        (f"localize bound pass, {n} pts", best_of(bound, repeats)),
+        (f"localize exact pass, {n} pts", best_of(
+            lambda: pnp._exact_pass(bounds, rots, ts, pts, brs, thr), repeats)),
+        (f"localize refits, {n} pts", best_of(refit, repeats)),
+    ]
 
 
 def scene_rows(repeats):
-    """load_scene and one 512x256 raycast_render per SCENE_SIZES entry."""
+    """save_scene, load_scene and one 512x256 raycast_render per SCENE_SIZES
+    entry."""
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
         for n, grid in SCENE_SIZES:
             path = Path(tmp) / f"scene{n}.json"
-            save_scene(path, generate_city(n, grid, seed=7))
-            scene = load_scene(path)
+            scene = generate_city(n, grid, seed=7)
             _, pose = sample_trajectory(scene, 1, seed=7)[0]
             rows += [
+                (f"scene save, {n} boxes", best_of(lambda: save_scene(path, scene), repeats)),
                 (f"scene load, {n} boxes", best_of(lambda: load_scene(path), repeats)),
                 (f"scene raycast 512x256, {n} boxes", best_of(
                     lambda: raycast_render(scene, pose, (512, 256)), repeats)),

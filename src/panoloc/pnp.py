@@ -6,25 +6,29 @@ works on bearing vectors directly. Samples come from one Philox stream
 keyed by the seed. The minimal solves run in numpy on stacked samples, a
 fixed-size chunk of hypotheses at a time: each sample solves on its first
 three points and its other points pick one of the up to four candidate
-poses. Each chunk is scored against all correspondences in two steps, a
-bounded block of hypotheses at a time (``_SCORE_PAIRS``). First a
-prefilter: with the points centred on their mean and lifted to q (x) b,
-one GEMM gives c = g . b for every (hypothesis, point) pair and a second
-gives kappa |g|^2, where g is the point in the camera frame and kappa =
-cos^2 of a slightly widened threshold angle. It keeps a pair when
-c |c| >= kappa |g|^2 - sigma, where sigma bounds the rounding of both
-GEMMs and of the exact test. An inlier has c >= cos(angle) |g| |b| > 0,
-so the prefilter never drops one (_score_hypotheses derives the bound).
-Then the exact arctan2 residual is taken for the kept pairs only, and
-``residual < threshold`` decides every inlier. Chunk boundaries depend
-only on the iteration count and every hypothesis's arithmetic is
-independent of its neighbours, so results are reproducible bit for bit
-whether chunks run serially or across threads. The winner is refit, as
-in LO-RANSAC, on the points within a threshold shrinking to the real one,
-by EPnP (Lepetit et al., IJCV 2009) generalized to bearing vectors, each
-bearing giving two linear constraints in the plane perpendicular to it.
-That solver is plain numpy, with no loop over points, and serves both
-``epnp_bearing`` and the refit.
+poses. Scoring takes two passes. The bound pass runs on each chunk, a
+bounded block of hypotheses at a time (``_SCORE_PAIRS``): with the points
+centred on their mean and lifted to q (x) b, one GEMM gives c = g . b for
+every (hypothesis, point) pair and a second gives kappa |g|^2, where g is
+the point in the camera frame and kappa = cos^2 of a slightly widened
+threshold angle. A pair survives when c |c| >= kappa |g|^2 - sigma, where
+sigma bounds the rounding of both GEMMs and of the exact test. An inlier
+has c >= cos(angle) |g| |b| > 0, so the prefilter never drops one
+(_prefilter_bounds derives the bound), and a hypothesis's survivor count
+bounds its inlier count from above. The exact pass then visits the
+hypotheses by decreasing bound and takes the exact arctan2 residual of
+every point for each, until the next bound is below the most inliers
+found: no hypothesis after it can win, as in Capel's bail-out test (BMVC
+2005) but exact. ``residual < threshold`` decides every inlier. Chunk
+boundaries depend only on the iteration count, every hypothesis's
+arithmetic is independent of its neighbours and the exact pass runs after
+all chunks, so results are reproducible bit for bit whether chunks run
+serially or across threads. The winner is refit, as in LO-RANSAC, on the
+points within a threshold shrinking to the real one, by EPnP (Lepetit et
+al., IJCV 2009) generalized to bearing vectors, each bearing giving two
+linear constraints in the plane perpendicular to it. That solver is plain
+numpy, with no loop over points, and serves both ``epnp_bearing`` and the
+refit.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -63,15 +67,11 @@ _P3P_DISTANCE_TOL = 1e-6
 # Inlier threshold multiples whose points the successive refits solve on.
 _REFIT_WIDENING = (2.0, 1.5, 1.0)
 # Unit roundoff of float64, and the relative and absolute (radian) widening
-# of the inlier angle in the scoring prefilter; see _score_hypotheses.
+# of the inlier angle in the scoring prefilter; see _prefilter_bounds.
 _U = 2.0 ** -53
 _PREFILTER_MARGIN = 1e-12
-# Share of a block's pairs above which scoring takes the exact residual of
-# every pair instead of gathering the prefilter's survivors.
-_DENSE_SHARE = 0.25
-# Most (hypothesis, point) pairs scored at once. A chunk is scored in blocks
-# of whole hypotheses, so the scoring temporaries stay a few MB however
-# many pairs survive the prefilter.
+# Most (hypothesis, point) pairs scored at once. Both scoring passes work
+# on blocks of whole hypotheses, so their temporaries stay a few MB.
 _SCORE_PAIRS = 2 ** 16
 
 
@@ -453,12 +453,13 @@ def _solve_p3p_batch(pts, brs):
 
 
 # ---------------------------------------------------------------------------
-# Hypothesis scoring: a conservative GEMM prefilter, then the exact residual
+# Hypothesis scoring: a conservative GEMM bound, then exact residuals for the
+# hypotheses that can still win
 # ---------------------------------------------------------------------------
 
 
 def _lift_points(pts, brs):
-    """Per-call operands of :func:`_score_hypotheses`.
+    """Per-call operands of :func:`_prefilter_bounds`.
 
     The points are centred on their mean so that the prefilter's rounding
     scales with the frame's spread, not with the map's coordinates. Returns
@@ -475,21 +476,21 @@ def _lift_points(pts, brs):
     return mean, dot_rows, norm_rows
 
 
-def _score_hypotheses(rot, t, pts, brs, lift, threshold_deg):
-    """(counts, sums) of ``residual < threshold_deg`` per pose in a stack.
+def _prefilter_bounds(rot, t, lift, threshold_deg):
+    """Upper bounds on the inlier count of each pose in a stack.
 
-    Step 1 keeps a (pose, point) pair only if two GEMMs over the lifted
-    points say it may lie within the threshold; step 2 takes the exact
-    residual of :func:`_residuals` for the kept pairs only, so the
-    exact test decides every inlier. Step 1 never drops a pair that step 2
-    would accept.
+    Two GEMMs over the lifted points keep a (pose, point) pair only if it
+    may lie within the threshold; a pose's bound is its number of kept
+    pairs. The prefilter never drops a pair whose exact residual
+    (:func:`_residuals`) is below ``threshold_deg``, so the bound is never
+    below the exact inlier count.
 
     Why, with u = 2**-53, g = p R + t the camera-frame point in exact
-    arithmetic and G its rounded value in step 2. For a pose and a point p,
-    let s = 1 + dev bound the norm of R (dev >= |R R^T - I|), z = |p| +
-    |mean| >= |p|, |mean|, |q|, T = |t|, and let t_c = mean R + t (rounded)
-    be the translation for centred points, g' = q R + t_c and span =
-    s z + |t_c| >= |g'|.
+    arithmetic and G its rounded value in _residuals. For a pose and a
+    point p, let s = 1 + dev bound the norm of R (dev >= |R R^T - I|), z =
+    |p| + |mean| >= |p|, |mean|, |q|, T = |t|, and let t_c = mean R + t
+    (rounded) be the translation for centred points, g' = q R + t_c and
+    span = s z + |t_c| >= |g'|.
       1. |G - g| <= sqrt(3) * gamma_4 * (s z + T) <= E1 = 8u (s z + T),
          which also bounds the rounding of t_c.
       2. res = degrees(arctan2(|G x b|, G . b)) < theta means the angle
@@ -509,34 +510,26 @@ def _score_hypotheses(rot, t, pts, brs, lift, threshold_deg):
          and kappa = (1 - M) cos^2(theta (1 + M) + M) <= (1 - 6u) cos^2(theta1)
          (M = _PREFILTER_MARGIN >> u; 1 - 6u bounds |b|^2 from below, as
          Correspondences normalizes the bearings),
-         every pair that step 2 accepts has d |d| >= m.
+         every pair that _residuals accepts has d |d| >= m.
       6. With L = s z + |t_c| + T: span <= L, E1 <= 8u L and eta <= 57u L,
          so the right side of 5 is at most 2 (dev + 164u + 1e4 u^2) L^2.
          sigma = 2 (dev + 170u) L^2 leaves 12u L^2 for the rounding that
          the norm GEMM's three terms of sigma add (under 4u L^2). It is a
          quadratic in z, which the GEMM takes from the rows z and z^2 of
          each point, so a far point loosens the test of its own pairs only.
-    sigma is an absolute bound: it lets points next to a camera centre,
-    whose exact residual is rounding noise, through to step 2. A threshold
-    within M of 90 degrees keeps every pair.
+    sigma is an absolute bound: it keeps points next to a camera centre,
+    whose exact residual is rounding noise. A threshold within M of 90
+    degrees keeps every pair.
 
-    Both steps run on blocks of at most ``_SCORE_PAIRS`` pairs; every
-    pose's arithmetic is independent of the others in its block.
+    The per-pose terms are computed once for the stack; the GEMMs run on
+    blocks of at most ``_SCORE_PAIRS`` pairs, and every pose's arithmetic
+    is independent of the others in its block.
     """
-    h = rot.shape[0]
-    rows = max(1, _SCORE_PAIRS // pts.shape[0])
-    counts = np.zeros(h, dtype=np.int64)
-    sums = np.zeros(h)
-    for lo in range(0, h, rows):
-        counts[lo:lo + rows], sums[lo:lo + rows] = _score_block(
-            rot[lo:lo + rows], t[lo:lo + rows], pts, brs, lift, threshold_deg)
-    return counts, sums
-
-
-def _score_block(rot, t, pts, brs, lift, threshold_deg):
-    """The two steps of :func:`_score_hypotheses` for one block of poses."""
     mean, dot_rows, norm_rows = lift
-    h = rot.shape[0]
+    h, n = rot.shape[0], dot_rows.shape[1]
+    theta = math.radians(threshold_deg) * (1 + _PREFILTER_MARGIN) + _PREFILTER_MARGIN
+    if theta >= math.pi / 2:
+        return np.full(h, n, dtype=np.int64)
     t_c = np.matmul(mean, rot) + t
     t_c_norm = np.sqrt(np.sum(t_c * t_c, axis=1))
     drift = np.linalg.norm(np.matmul(rot, np.swapaxes(rot, 1, 2)) - np.eye(3), axis=(1, 2))
@@ -545,30 +538,73 @@ def _score_block(rot, t, pts, brs, lift, threshold_deg):
     s = 1.0 + dev
     c = t_c_norm + np.sqrt(np.sum(t * t, axis=1))
     k = 2 * (dev + 170 * _U)
+    kappa = (1 - _PREFILTER_MARGIN) * math.cos(theta) ** 2
+    dot_coef = np.concatenate([rot.reshape(h, 9), t_c], axis=1)
+    r_tc = np.matmul(rot, t_c[:, :, None])[:, :, 0]
+    norm_coef = np.column_stack([2 * kappa * r_tc, kappa * t_c_norm ** 2 - k * c * c,
+                                 np.full(h, kappa), -2 * k * s * c, -k * s * s])
 
-    theta = math.radians(threshold_deg) * (1 + _PREFILTER_MARGIN) + _PREFILTER_MARGIN
-    if theta < math.pi / 2:
-        kappa = (1 - _PREFILTER_MARGIN) * math.cos(theta) ** 2
-        dot = np.concatenate([rot.reshape(h, 9), t_c], axis=1) @ dot_rows
-        r_tc = np.matmul(rot, t_c[:, :, None])[:, :, 0]
-        norm = np.column_stack([2 * kappa * r_tc, kappa * t_c_norm ** 2 - k * c * c,
-                                np.full(h, kappa), -2 * k * s * c, -k * s * s]) @ norm_rows
-        keep = dot * np.abs(dot) >= norm
-    else:
-        keep = np.ones((h, pts.shape[0]), dtype=np.bool_)
+    bounds = np.empty(h, dtype=np.int64)
+    rows = max(1, min(h, _SCORE_PAIRS // n))
+    # one set of block buffers per stack, so the blocks allocate nothing
+    dot, dot_sq, norm = np.empty((3, rows, n))
+    keep = np.empty((rows, n), dtype=np.bool_)
+    for lo in range(0, h, rows):
+        r = min(rows, h - lo)
+        np.matmul(dot_coef[lo:lo + r], dot_rows, out=dot[:r])
+        np.matmul(norm_coef[lo:lo + r], norm_rows, out=norm[:r])
+        np.multiply(dot[:r], np.abs(dot[:r], out=dot_sq[:r]), out=dot_sq[:r])
+        np.greater_equal(dot_sq[:r], norm[:r], out=keep[:r])
+        # summing the bytes as uint32 counts twice as fast as count_nonzero
+        bounds[lo:lo + r] = keep[:r].view(np.uint8).sum(axis=1, dtype=np.uint32)
+    return bounds
 
-    if np.count_nonzero(keep) > _DENSE_SHARE * keep.size:
-        # most pairs survive (clean data): residuals for the whole block cost
-        # less than gathering the survivors' operands
-        res = _residuals(rot, t, pts, brs)
-        hh, jj = np.nonzero(res < threshold_deg)
-        res = res[hh, jj]
-    else:
-        hh, jj = np.nonzero(keep)
-        res = _residuals(rot[hh], t[hh], pts[jj, None], brs[jj, None])[:, 0]
-        inl = res < threshold_deg
-        hh, res = hh[inl], res[inl]
-    return np.bincount(hh, minlength=h), np.bincount(hh, weights=res, minlength=h)
+
+def _exact_scores(rot, t, pts, brs, threshold_deg):
+    """(residuals, counts, sums) of a stack of poses over every point.
+
+    ``counts`` holds each pose's number of residuals below ``threshold_deg``
+    and ``sums`` their sum, added in point order.
+    """
+    res = _residuals(rot, t, pts, brs)
+    inl = res < threshold_deg
+    # cumsum adds in point order; the zeros of outliers leave it unchanged
+    sums = np.cumsum(np.where(inl, res, 0.0), axis=1)[:, -1]
+    return res, np.count_nonzero(inl, axis=1), sums
+
+
+def _exact_pass(bounds, rot, t, pts, brs, threshold_deg):
+    """The best of a stack of poses by exact score, visiting only those that
+    can still win.
+
+    Poses are visited by decreasing bound (ties by lower index), the first
+    alone and then a block of ``_SCORE_PAIRS`` pairs at a time, and scored
+    by :func:`_exact_scores`.
+    The best has the most inliers, then the lower mean inlier residual,
+    then the lower index. A pose whose bound is below the best inlier count
+    found so far cannot win, and neither can any pose after it, so the
+    visit stops there. Returns (counts, sums, best, residuals): counts is -1
+    for poses not visited; best is -1 and residuals None when no pose has
+    an inlier.
+    """
+    h = len(bounds)
+    order = np.argsort(-bounds, kind="stable")
+    counts = np.full(h, -1, dtype=np.int64)
+    sums = np.zeros(h)
+    best, best_key, best_res = -1, None, None
+    top = 1  # a winner has at least one inlier
+    lo, visit = 0, 1  # the largest bound alone first: it usually wins
+    while lo < h and bounds[order[lo]] >= top:
+        idx = order[lo:lo + visit]
+        idx = idx[bounds[idx] >= top]
+        lo, visit = lo + visit, max(1, _SCORE_PAIRS // pts.shape[0])
+        res, c, s = _exact_scores(rot[idx], t[idx], pts, brs, threshold_deg)
+        counts[idx], sums[idx] = c, s
+        for j in np.flatnonzero(c >= top):
+            key = (-c[j], s[j] / c[j], idx[j])
+            if best_key is None or key < best_key:
+                best, best_key, best_res, top = int(idx[j]), key, res[j], int(c[j])
+    return counts, sums, best, best_res
 
 
 # ---------------------------------------------------------------------------
@@ -628,13 +664,17 @@ def ransac_pnp(corrs: Correspondences, cfg: RansacConfig = None, threads: int = 
     """Robust pose estimate; see module docstring for determinism contract.
 
     The best model maximizes the inlier count; ties break on lower mean
-    inlier residual, then on lower iteration index. With
+    inlier residual (summed in point order), then on lower iteration index.
+    The bound pass gives every hypothesis an upper bound on its inlier
+    count; the exact pass scores hypotheses by decreasing bound and stops at
+    the first whose bound is below the best exact count, so it picks the
+    same winner as scoring all of them exactly. With
     ``cfg.refit_on_inliers`` the winner is re-solved by EPnP over the points
     within 2, 1.5 and 1 times the threshold in turn, each time from the pose
     kept so far; a refit is kept only if it has at least as many inliers as
-    that pose. ``threads > 1`` spreads the hypothesis chunks over a thread
-    pool (numpy releases the GIL in its array loops); the result is bitwise
-    the same for any value.
+    that pose. ``threads > 1`` spreads the chunks of the minimal solves and
+    the bound pass over a thread pool (numpy releases the GIL in its array
+    loops); the result is bitwise the same for any value.
     """
     if cfg is None:
         cfg = RansacConfig()
@@ -647,8 +687,7 @@ def ransac_pnp(corrs: Correspondences, cfg: RansacConfig = None, threads: int = 
     samples = _draw_samples(cfg.seed, cfg.iterations, n, cfg.min_sample)
 
     lift = _lift_points(pts, brs)
-    counts = np.zeros(cfg.iterations, dtype=np.int64)
-    sums = np.zeros(cfg.iterations)
+    bounds = np.zeros(cfg.iterations, dtype=np.int64)
     rots = np.zeros((cfg.iterations, 3, 3))
     ts = np.zeros((cfg.iterations, 3))
 
@@ -656,10 +695,9 @@ def ransac_pnp(corrs: Correspondences, cfg: RansacConfig = None, threads: int = 
         hi = min(lo + _HYPOTHESIS_CHUNK, cfg.iterations)
         idx = samples[lo:hi]
         ok, rot, t = _solve_p3p_batch(pts[idx], brs[idx])
-        # samples without a pose are not scored: their zero pose would pass
-        # every pair through the prefilter
-        counts[lo:hi][ok], sums[lo:hi][ok] = _score_hypotheses(
-            rot[ok], t[ok], pts, brs, lift, cfg.inlier_threshold_deg)
+        # samples without a pose keep a zero bound: their zero pose would
+        # pass every pair through the prefilter
+        bounds[lo:hi][ok] = _prefilter_bounds(rot[ok], t[ok], lift, cfg.inlier_threshold_deg)
         rots[lo:hi] = rot
         ts[lo:hi] = t
 
@@ -672,20 +710,14 @@ def ransac_pnp(corrs: Correspondences, cfg: RansacConfig = None, threads: int = 
         for lo in starts:
             evaluate(lo)
 
+    _, _, best_it, res = _exact_pass(bounds, rots, ts, pts, brs, cfg.inlier_threshold_deg)
     best_effort = None
-    candidates = np.flatnonzero(counts > 0)
-    if candidates.size:
-        means = sums[candidates] / counts[candidates]
-        # most inliers, then lower mean residual, then lower iteration index
-        best_it = int(candidates[np.lexsort((candidates, means, -counts[candidates]))[0]])
-        pose = Pose(rots[best_it], ts[best_it])
-        res = angular_residuals(pose, corrs)
+    if best_it >= 0:
         inliers = np.flatnonzero(res < cfg.inlier_threshold_deg)
-        best_effort = PoseEstimate(pose, inliers,
-                                   float(res[inliers].mean()) if inliers.size else 180.0,
-                                   cfg.iterations, cfg)
+        best_effort = PoseEstimate(Pose(rots[best_it], ts[best_it]), inliers,
+                                   float(res[inliers].mean()), cfg.iterations, cfg)
 
-    if best_effort is None or counts[best_it] < cfg.min_sample + 1:
+    if best_effort is None or inliers.size < cfg.min_sample + 1:
         raise NoConsensusError(
             f"no model with more than {cfg.min_sample} inliers after {cfg.iterations} iterations",
             estimate=best_effort)

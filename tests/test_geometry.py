@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.spatial.transform import Rotation
 
 from conftest import random_pose
@@ -46,6 +47,36 @@ class TestPixelBearing:
         u, v = bearing_to_pixel(b, W, H)
         b2 = pixel_to_bearing(np.clip(u, 0, W - 1e-9), np.clip(v, 0, H - 1e-9), W, H)
         assert np.abs(b2 - b).max() < 1e-9
+
+    @settings(max_examples=300, deadline=None)
+    @given(height=st.integers(1, 2048), fu=st.floats(0.0, 1.0, exclude_max=True),
+           fv=st.floats(0.0, 1.0))
+    def test_pixel_round_trip_property(self, height, fu, fv):
+        # any point of the image away from the bottom pole's half-pixel band,
+        # where v is ill-conditioned
+        width = 2 * height
+        u, v = fu * width, fv * (height - 1)
+        assume(u < width)
+        b = pixel_to_bearing(u, v, width, height)
+        assert abs(np.linalg.norm(b) - 1.0) < 1e-12
+        u2, v2 = bearing_to_pixel(b, width, height)
+        assert min(abs(u2 - u), width - abs(u2 - u)) < 1e-9  # longitude wraps
+        assert abs(v2 - v) < 1e-9
+
+    @settings(max_examples=300, deadline=None)
+    @given(height=st.integers(1, 2048),
+           bearing=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+    def test_bearing_round_trip_property(self, height, bearing):
+        b = np.array(bearing)
+        assume(np.linalg.norm(b) > 1e-6)
+        unit = b / np.linalg.norm(b)
+        u, v = bearing_to_pixel(b, 2 * height, height)
+        assert 0.0 <= u < 2 * height and -0.5 <= v <= height - 0.5 + 1e-12
+        assume(0.0 <= v < height)  # the top pole's half-pixel band lies outside the image
+        back = pixel_to_bearing(u, v, 2 * height, height)
+        # the latitude comes from arcsin, which keeps only ~sqrt(u) of it at a pole
+        tol = 1e-12 if math.hypot(unit[0], unit[2]) > 1e-3 else 3e-8
+        assert np.abs(back - unit).max() < tol
 
     def test_out_of_range_pixel_rejected(self):
         with pytest.raises(ValueError):
@@ -175,6 +206,18 @@ class TestQuaternions:
             q = rotation_to_quaternion(rot)
             assert q[0] >= 0.0
             assert np.abs(quaternion_to_rotation(q) - rot).max() < 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(q=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+    def test_round_trip_property(self, q):
+        q = np.array(q)
+        assume(np.linalg.norm(q) > 1e-3)
+        rot = quaternion_to_rotation(q)
+        back = rotation_to_quaternion(rot)
+        unit = q / np.linalg.norm(q)
+        assert back[0] >= 0.0
+        assert min(np.abs(back - unit).max(), np.abs(back + unit).max()) < 1e-12
+        assert np.abs(quaternion_to_rotation(back) - rot).max() < 1e-12
 
     def test_matches_scipy(self, rng):
         for _ in range(50):

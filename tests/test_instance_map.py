@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from panoloc.geometry import quaternion_to_rotation
 from panoloc.instance_map import (DegenerateInstanceError, EIGENVALUE_FLOOR,
                                   build_instance_map, fit_whitening, unwhiten,
                                   whiten)
@@ -89,6 +93,32 @@ class TestWhitenUnwhiten:
         assert np.abs(unwhiten(tf, whiten(tf, world)) - world).max() < 1e-9
         local = rng.normal(size=(1000, 3))
         assert np.abs(whiten(tf, unwhiten(tf, local)) - local).max() < 1e-9
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           spreads=st.lists(st.floats(1e-6, 1e3), min_size=3, max_size=3),
+           offset=st.floats(0.0, 1e4), n=st.integers(4, 60))
+    def test_round_trip_property(self, seed, spreads, offset, n):
+        # any instance, from flat to round and up to 10 km out; rounding
+        # grows with |M| and with the condition of W (the eigenvalue floor
+        # bounds it)
+        rng = np.random.default_rng(seed)
+        axes = quaternion_to_rotation(rng.normal(size=4))
+        centre = offset * rng.normal(size=3) / math.sqrt(3.0)
+        tf = fit_whitening(rng.normal(size=(n, 3)) * spreads @ axes.T + centre, 1000)
+        w_norm = np.linalg.norm(tf.unwhiten_matrix, 2)
+        inv_norm = np.linalg.norm(tf.whiten_matrix, 2)
+        m_norm = np.linalg.norm(tf.mean)
+
+        world = tf.mean + rng.normal(size=(50, 3)) * spreads @ axes.T * 3.0
+        d = np.linalg.norm(world - tf.mean, axis=1)
+        err = np.linalg.norm(unwhiten(tf, whiten(tf, world)) - world, axis=1)
+        assert (err <= 1e-14 * (w_norm * inv_norm * d + m_norm + d)).all()
+
+        local = rng.normal(size=(50, 3)) * 3.0
+        c = np.linalg.norm(local, axis=1)
+        err = np.linalg.norm(whiten(tf, unwhiten(tf, local)) - local, axis=1)
+        assert (err <= 1e-14 * inv_norm * (w_norm * c + m_norm)).all()
 
     def test_first_cube_corner_round_trip(self):
         pts = cube_corners([10.0, 0.0, 5.0])

@@ -2,11 +2,12 @@ from dataclasses import replace
 import math
 import threading
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.stats import chisquare
 
 from conftest import random_pose, synthetic_corrs
@@ -383,6 +384,49 @@ class TestRansac:
         dist = relative_pose_errors(est.pose, pose)[0]
         assert dist < relative_pose_errors(hypothesis.pose, pose)[0]
 
+    @settings(max_examples=60, deadline=None)
+    @example(seed=3, n=5, iterations=600, outlier_share=0.0, noise=0.0, threshold=0.22)
+    @example(seed=4, n=7, iterations=900, outlier_share=0.3, noise=1e-3, threshold=1.0)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(5, 40),
+           iterations=st.integers(1, 700), outlier_share=st.floats(0.0, 0.6),
+           noise=st.sampled_from([0.0, 1e-3, 0.05]),
+           threshold=st.sampled_from([0.05, 0.22, 1.0, 10.0]))
+    def test_matches_exhaustive_oracle(self, seed, n, iterations, outlier_share, noise,
+                                       threshold):
+        # every hypothesis scored through angular_residuals and picked by
+        # (count, mean, index); few points and many iterations repeat
+        # samples, so counts, means and whole poses tie
+        rng = np.random.default_rng(seed)
+        pose = random_pose(rng)
+        clean = synthetic_corrs(pose, n, rng)
+        pts = clean.world_points + rng.normal(scale=noise, size=(n, 3))
+        bad = rng.random(n) < outlier_share
+        pts[bad] = rng.uniform(-60.0, 60.0, (int(bad.sum()), 3))
+        corrs = Correspondences(clean.bearings, pts)
+        cfg = RansacConfig(iterations=iterations, inlier_threshold_deg=threshold,
+                           seed=seed % 1000, refit_on_inliers=False)
+
+        samples = pnp._draw_samples(cfg.seed, iterations, n, cfg.min_sample)
+        ok, rots, ts = pnp._solve_p3p_batch(corrs.world_points[samples],
+                                            corrs.bearings[samples])
+        rows = [angular_residuals(SimpleNamespace(rotation=rot, translation=t), corrs)
+                if good else np.full(n, np.inf) for good, rot, t in zip(ok, rots, ts)]
+        best = oracle_best(rows, threshold)
+        inliers = np.flatnonzero(rows[best] < threshold) if best >= 0 else np.empty(0)
+        if inliers.size <= cfg.min_sample:
+            with pytest.raises(NoConsensusError) as err:
+                ransac_pnp(corrs, cfg)
+            est = err.value.estimate
+            if best < 0:
+                assert est is None
+                return
+        else:
+            est = ransac_pnp(corrs, cfg)
+        assert np.array_equal(est.pose.rotation, rots[best])
+        assert np.array_equal(est.pose.translation, ts[best])
+        assert np.array_equal(est.inlier_indices, inliers)
+        assert est.mean_inlier_angle_deg == float(rows[best][inliers].mean())
+
     def test_noise_degrades_continuously(self, rng):
         pose = random_pose(rng)
         base = synthetic_corrs(pose, 200, rng, depth=(10.0, 50.0))
@@ -540,26 +584,81 @@ def exact_scores(rots, ts, corrs, threshold):
     return np.array(counts), np.array(sums)
 
 
-def prefilter_scores(rots, ts, corrs, threshold, dense_share):
-    """Scores with every chunk taking the exact residual of all its pairs
-    (``dense_share`` 0) or of the prefilter's survivors only (1)."""
+def inlier_sum(row, threshold):
+    """(count, sum) of the residuals below the threshold, added one by one
+    in point order."""
+    total, count = 0.0, 0
+    for r in row:
+        if r < threshold:
+            total += float(r)
+            count += 1
+    return count, total
+
+
+def oracle_best(residual_rows, threshold):
+    """Index of the row with the most residuals below the threshold, then the
+    lowest mean of them (summed in point order), then the lowest index; -1
+    if no row has one."""
+    best, best_key = -1, None
+    for i, row in enumerate(residual_rows):
+        count, total = inlier_sum(row, threshold)
+        key = (-count, total / count if count else 0.0, i)
+        if count and (best_key is None or key < best_key):
+            best, best_key = i, key
+    return best
+
+
+def scores(rots, ts, corrs, threshold, pruned):
+    """Prefilter bounds of a stack of poses, a chunk at a time as in
+    ransac_pnp, and the exact pass ranked by them (``pruned``) or by a bound
+    of n for every pose, which makes it score them all."""
     pts, brs = corrs.world_points, corrs.bearings
-    with mock.patch.object(pnp, "_DENSE_SHARE", dense_share):
-        return pnp._score_hypotheses(rots, ts, pts, brs, pnp._lift_points(pts, brs), threshold)
+    lift = pnp._lift_points(pts, brs)
+    chunk = pnp._HYPOTHESIS_CHUNK
+    bounds = np.concatenate([
+        pnp._prefilter_bounds(rots[lo:lo + chunk], ts[lo:lo + chunk], lift, threshold)
+        for lo in range(0, len(rots), chunk)])
+    ranked = bounds if pruned else np.full(len(rots), len(corrs))
+    return bounds, pnp._exact_pass(ranked, rots, ts, pts, brs, threshold)
 
 
-both_paths = pytest.mark.parametrize("dense_share", [0.0, 1.0], ids=["dense", "sparse"])
+def check_scores(rots, ts, corrs, threshold, pruned):
+    """The bounds hold every exact count, the exact pass scores every pose it
+    visits as ``exact_scores`` does, the poses it skips cannot win, and it
+    picks the oracle's winner with its exact residuals. Returns (bounds,
+    counts, sums) with -1 counts for poses not visited."""
+    bounds, (counts, sums, best, res) = scores(rots, ts, corrs, threshold, pruned)
+    want_counts, want_sums = exact_scores(rots, ts, corrs, threshold)
+    assert (bounds >= want_counts).all()
+    seen = counts >= 0
+    assert pruned or seen.all()
+    assert np.array_equal(counts[seen], want_counts[seen])
+    assert np.allclose(sums[seen], want_sums[seen], rtol=1e-12, atol=0.0)
+    assert (bounds[~seen] < want_counts.max()).all()
+    rows = [angular_residuals(Pose(rot, t), corrs) for rot, t in zip(rots, ts)]
+    for i in np.flatnonzero(seen):
+        assert (counts[i], sums[i]) == inlier_sum(rows[i], threshold)
+    assert best == oracle_best(rows, threshold)
+    if best >= 0:
+        assert np.array_equal(res, rows[best])
+    return bounds, counts, sums
+
+
+# "dense": the exact pass scores every pose; "sparse": only those whose
+# prefilter bound can still beat the best exact count
+both_paths = pytest.mark.parametrize("pruned", [False, True], ids=["dense", "sparse"])
 
 
 class TestHypothesisScoring:
-    """The GEMM prefilter keeps every pair the exact residual test accepts."""
+    """The GEMM prefilter bounds every exact inlier count, and the exact pass
+    scores and picks as the exact residuals do."""
 
     @both_paths
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), log_threshold=st.floats(-3.0, math.log10(89.0)),
            offset=st.floats(0.0, 1e4), spread=st.floats(0.05, 60.0))
     def test_counts_and_sums_match_exact_residuals(self, seed, log_threshold, offset, spread,
-                                                    dense_share):
+                                                    pruned):
         rng = np.random.default_rng(seed)
         threshold = 10.0 ** log_threshold
         direction = rng.normal(size=3)
@@ -588,16 +687,12 @@ class TestHypothesisScoring:
                                 np.concatenate([pts, extra]))
         rots = np.array([pose.rotation for pose in poses])
         ts = np.array([pose.translation for pose in poses])
-
-        counts, sums = prefilter_scores(rots, ts, corrs, threshold, dense_share)
-        want_counts, want_sums = exact_scores(rots, ts, corrs, threshold)
-        assert np.array_equal(counts, want_counts)
-        assert np.allclose(sums, want_sums, rtol=1e-12, atol=0.0)
+        check_scores(rots, ts, corrs, threshold, pruned)
 
     @both_paths
     @pytest.mark.parametrize("threshold", [1e-3, 0.22, 5.0, 45.0, 89.0])
     @pytest.mark.parametrize("offset", [0.0, 1e4])
-    def test_pairs_a_nanodegree_from_the_threshold(self, threshold, offset, dense_share):
+    def test_pairs_a_nanodegree_from_the_threshold(self, threshold, offset, pruned):
         rng = np.random.default_rng(int(threshold * 1000) + int(offset))
         rot = quaternion_to_rotation(rng.normal(size=4))
         pose = Pose(rot, -rot.T @ (offset * np.array([0.6, 0.0, 0.8]) + rng.normal(size=3)))
@@ -608,27 +703,27 @@ class TestHypothesisScoring:
         res = angular_residuals(pose, corrs)
         assert (res[:n] < threshold).all() and (res[n:] >= threshold).all()
 
-        counts, sums = prefilter_scores(pose.rotation[None], pose.translation[None], corrs,
-                                        threshold, dense_share)
-        assert counts[0] == n
+        bounds, counts, sums = check_scores(pose.rotation[None], pose.translation[None],
+                                            corrs, threshold, pruned)
+        assert bounds[0] >= counts[0] == n
         assert sums[0] == pytest.approx(res[:n].sum(), rel=1e-12)
 
     @both_paths
-    def test_residual_equal_to_threshold_is_an_outlier(self, rng, dense_share):
+    def test_residual_equal_to_threshold_is_an_outlier(self, rng, pruned):
         pose = random_pose(rng)
         pts, brs = points_at_angles(pose, rng.uniform(1.0, 10.0, 50),
                                     rng.uniform(2.0, 20.0, 50), rng)
         corrs = Correspondences(brs, pts)
         res = angular_residuals(pose, corrs)
         threshold = float(np.sort(res)[24])
-        counts, sums = prefilter_scores(pose.rotation[None], pose.translation[None], corrs,
-                                        threshold, dense_share)
+        _, counts, sums = check_scores(pose.rotation[None], pose.translation[None], corrs,
+                                       threshold, pruned)
         assert (res == threshold).sum() == 1
         assert counts[0] == (res < threshold).sum() == 24
         assert sums[0] == pytest.approx(res[res < threshold].sum(), rel=1e-12)
 
     @both_paths
-    def test_points_at_camera_centres_far_from_the_origin(self, rng, dense_share):
+    def test_points_at_camera_centres_far_from_the_origin(self, rng, pruned):
         # 10 km out, a point at a camera centre is a few 1e-12 m from it after
         # rounding: its exact residual is noise, often far below 89 degrees
         poses = []
@@ -644,26 +739,40 @@ class TestHypothesisScoring:
         res = np.array([angular_residuals(pose, corrs) for pose in poses])
         assert (res[own, own] < 180.0).sum() > 40
         for threshold in (0.22, 30.0, 89.0):
-            counts, sums = prefilter_scores(rots, ts, corrs, threshold, dense_share)
-            want_counts, want_sums = exact_scores(rots, ts, corrs, threshold)
-            assert np.array_equal(counts, want_counts)
-            assert np.allclose(sums, want_sums, rtol=1e-12, atol=0.0)
+            check_scores(rots, ts, corrs, threshold, pruned)
 
     def test_dense_and_sparse_chunks_give_the_same_estimate(self, rng):
+        # with every bound at n the exact pass scores every hypothesis
         pose = random_pose(rng)
         corrs = synthetic_corrs(pose, 300, rng)
         pts = corrs.world_points.copy()
         pts[:100] += rng.normal(scale=0.2, size=(100, 3))
         noisy = Correspondences(corrs.bearings, pts)
-        estimates = []
-        for share in (0.0, 1.0):
-            with mock.patch.object(pnp, "_DENSE_SHARE", share):
-                estimates.append(ransac_pnp(noisy, RansacConfig(iterations=300, seed=5)))
-        assert np.array_equal(estimates[0].pose.rotation, estimates[1].pose.rotation)
-        assert np.array_equal(estimates[0].inlier_indices, estimates[1].inlier_indices)
+        cfg = RansacConfig(iterations=300, seed=5)
+        pruned = ransac_pnp(noisy, cfg)
+        solved, visited = [], []
+        real_pass = pnp._exact_pass
+
+        def every_pair(rot, t, lift, threshold):
+            solved.append(len(rot))
+            return np.full(len(rot), len(pts))
+
+        def exact_pass(*args):
+            out = real_pass(*args)
+            visited.append(int((out[0] >= 0).sum()))
+            return out
+
+        with mock.patch.object(pnp, "_prefilter_bounds", every_pair), \
+                mock.patch.object(pnp, "_exact_pass", exact_pass):
+            dense = ransac_pnp(noisy, cfg)
+        assert visited == [sum(solved)] and sum(solved) > 250
+        assert np.array_equal(pruned.pose.rotation, dense.pose.rotation)
+        assert np.array_equal(pruned.pose.translation, dense.pose.translation)
+        assert np.array_equal(pruned.inlier_indices, dense.inlier_indices)
+        assert pruned.mean_inlier_angle_deg == dense.mean_inlier_angle_deg
 
     @both_paths
-    def test_blocks_of_poses_score_like_one_block(self, rng, dense_share):
+    def test_blocks_of_poses_score_like_one_block(self, rng, pruned):
         pose = random_pose(rng)
         corrs = synthetic_corrs(pose, 400, rng)
         tweak = quaternion_to_rotation(np.r_[1.0, rng.normal(scale=2e-3, size=3)])
@@ -671,18 +780,20 @@ class TestHypothesisScoring:
         poses += [random_pose(rng) for _ in range(5)]
         rots = np.array([p.rotation for p in poses])
         ts = np.array([p.translation for p in poses])
-        whole = prefilter_scores(rots, ts, corrs, 0.5, dense_share)
-        assert whole[0][0] == 400 and 0 < whole[0][1] < 400
+        whole_bounds, (counts, sums, best, res) = scores(rots, ts, corrs, 0.5, pruned)
+        assert best == 0 and counts[0] == 400 and 0 < sums[0] < 400
         for pairs in (1, 800, 1200):  # 1, 2 and 3 poses a block
             with mock.patch.object(pnp, "_SCORE_PAIRS", pairs):
-                counts, sums = prefilter_scores(rots, ts, corrs, 0.5, dense_share)
-            assert np.array_equal(counts, whole[0])
-            assert np.array_equal(sums, whole[1])
+                bounds, out = scores(rots, ts, corrs, 0.5, pruned)
+            assert np.array_equal(bounds, whole_bounds)
+            assert np.array_equal(out[0], counts) and np.array_equal(out[1], sums)
+            assert out[2] == best and np.array_equal(out[3], res)
 
     @pytest.mark.parametrize("inlier_share", [1.0, 0.2, 0.0])
     def test_scoring_memory_does_not_grow_with_survivors(self, rng, inlier_share):
-        # a full chunk against 5000 points; scored as one block, its
-        # temporaries took 15 MB with no survivors and 64 MB with all
+        # a full chunk against 5000 points, every pose alike, so the exact
+        # pass visits all of them; scored as one block, the old one-pass
+        # scoring took 15 MB with no survivors and 64 MB with all
         pose = random_pose(rng)
         corrs = synthetic_corrs(pose, 5000, rng)
         pts = corrs.world_points.copy()
@@ -694,15 +805,16 @@ class TestHypothesisScoring:
         lift = pnp._lift_points(pts, noisy.bearings)
         tracemalloc.start()
         try:
-            counts, _ = pnp._score_hypotheses(rots, ts, pts, noisy.bearings, lift, 0.22)
+            bounds = pnp._prefilter_bounds(rots, ts, lift, 0.22)
+            counts, _, best, _ = pnp._exact_pass(bounds, rots, ts, pts, noisy.bearings, 0.22)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert counts[0] >= 5000 - moved
+        assert bounds[0] >= counts[0] >= 5000 - moved
         assert peak < 10 * 2 ** 20
 
     @both_paths
-    def test_threshold_next_to_ninety_degrees_scores_every_pair(self, rng, dense_share):
+    def test_threshold_next_to_ninety_degrees_scores_every_pair(self, rng, pruned):
         # the widened angle would pass 90 degrees; every pair goes to the exact test
         threshold = 90.0 - 1e-13
         pose = random_pose(rng)
@@ -710,8 +822,9 @@ class TestHypothesisScoring:
         pts, brs = points_at_angles(pose, angles, rng.uniform(1.0, 30.0, 200), rng)
         corrs = Correspondences(brs, pts)
         rots, ts = pose.rotation[None], pose.translation[None]
-        counts, sums = prefilter_scores(rots, ts, corrs, threshold, dense_share)
+        bounds, counts, sums = check_scores(rots, ts, corrs, threshold, pruned)
         want_counts, want_sums = exact_scores(rots, ts, corrs, threshold)
+        assert bounds[0] == 200
         assert counts[0] == want_counts[0] == (angles < 90.0).sum()
         assert sums[0] == pytest.approx(want_sums[0], rel=1e-12)
 
