@@ -16,7 +16,11 @@ output: the sample draw, the P3P solves, the prefilter bound pass, the
 exact pass and the three refits. The scene rows time ``save_scene``,
 ``load_scene`` and one 512x256 ``raycast_render`` on the large preset
 (827 buildings) and on 52,000 buildings of a 230x230 grid, where render
-time should follow what the camera sees, not the building count.
+time should follow what the camera sees, not the building count. The
+prediction rows time ``simulate_predictions`` on one 512x256 small-preset
+frame with the noise of the pipeline benchmark's small-city workload
+(sigma 0.33 m, 2% outliers, 2% label flips) and of its noisy-sparse one
+(30% outliers, 10% flips), and ``SceneCoordinateImage.mask`` on that frame.
 
 Usage:
     python benchmarks/bench_kernels.py [--repeats 5] [--rays 131072] ...
@@ -31,10 +35,11 @@ import numpy as np
 
 from panoloc.fileio import load_scene, save_scene
 from panoloc.geometry import quaternion_to_rotation, Pose
+from panoloc.instance_map import build_instance_map
 from panoloc import pnp
 from panoloc.pnp import Correspondences, RansacConfig, _residuals, _solve_epnp, ransac_pnp
-from panoloc.scene_sim import (LARGE_CITY, SMALL_CITY, generate_city, raycast_render,
-                               sample_trajectory)
+from panoloc.scene_sim import (LARGE_CITY, SMALL_CITY, NoiseModel, generate_city,
+                               raycast_render, sample_trajectory, simulate_predictions)
 
 REFIT_POINTS = (900, 2700, 20_000)
 # (buildings, grid) of the scene rows
@@ -126,7 +131,8 @@ def run_benchmarks(args):
         ("ransac 5000 pts / 1000 it", best_of(
             lambda: ransac_pnp(data["cap_corrs"], RansacConfig(seed=1)), repeats)),
     ]
-    return rows + localize_rows(data["cap_corrs"], args.repeats) + scene_rows(args.repeats)
+    return (rows + localize_rows(data["cap_corrs"], args.repeats) + scene_rows(args.repeats)
+            + prediction_rows(args.repeats))
 
 
 def localize_rows(corrs, repeats):
@@ -187,6 +193,23 @@ def scene_rows(repeats):
                 (f"scene raycast 512x256, {n} boxes", best_of(
                     lambda: raycast_render(scene, pose, (512, 256)), repeats)),
             ]
+    return rows
+
+
+def prediction_rows(repeats):
+    """simulate_predictions at two noise settings and one mask, on a
+    512x256 small-preset frame."""
+    scene = generate_city(SMALL_CITY["n_buildings"], SMALL_CITY["grid_dims"], seed=7)
+    _, pose = sample_trajectory(scene, 1, seed=7)[0]
+    coords, labels = raycast_render(scene, pose, (512, 256))
+    sel = coords.mask & labels.instance_mask
+    imap = build_instance_map(coords.coords[sel], labels.labels[sel])
+    rows = []
+    for name, outliers, flips in (("small-city", 0.02, 0.02), ("noisy-sparse", 0.30, 0.10)):
+        noise = NoiseModel(coord_sigma=0.33, outlier_rate=outliers, label_flip_rate=flips, seed=7)
+        rows.append((f"predictions 512x256, {name}", best_of(
+            lambda: simulate_predictions(coords, labels, noise, imap), repeats)))
+    rows.append(("coordinate mask 512x256", best_of(lambda: coords.mask, repeats)))
     return rows
 
 

@@ -127,11 +127,10 @@ def cmd_fit_map(args) -> int:
         chunks_p, chunks_l = [], []
         for i, frame in enumerate(fileio.list_frames(frames_dir)):
             coords, labs = fileio.load_frame(frames_dir, frame)
-            sel = coords.mask & labs.instance_mask
-            pts, lab = coords.coords[sel], labs.labels[sel]
-            keep = _subsample(len(pts), args.max_points_per_frame, args.seed, 10_000 + i)
-            chunks_p.append(pts[keep])
-            chunks_l.append(lab[keep])
+            sel = np.flatnonzero(coords.mask & labs.instance_mask)
+            sel = sel[_subsample(sel.size, args.max_points_per_frame, args.seed, 10_000 + i)]
+            chunks_p.append(np.take(coords.coords.reshape(-1, 3), sel, axis=0))
+            chunks_l.append(labs.labels.reshape(-1)[sel])
         points, labels = np.concatenate(chunks_p), np.concatenate(chunks_l)
     else:
         raise InputError("either --frames or --cloud is required")
@@ -240,9 +239,10 @@ def cmd_evaluate(args) -> int:
         for frame in fileio.list_frames(gt_dir):
             pred = fileio.load_frame_coords(pred_dir, frame)
             gt, gt_labels = fileio.load_frame(gt_dir, frame)
-            chunks["coord"].append(evaluation.coord_distances(pred, gt)[0])
-            chunks["coord_buildings"].append(
-                evaluation.coord_distances(pred, gt, select=gt_labels.instance_mask)[0])
+            # distances come in raster order over gt-valid pixels; pick the buildings among them
+            dist = evaluation.coord_distances(pred, gt)[0]
+            chunks["coord"].append(dist)
+            chunks["coord_buildings"].append(dist[gt_labels.instance_mask[gt.mask]])
         rows = []
         for key, parts in chunks.items():
             dist = np.concatenate(parts)

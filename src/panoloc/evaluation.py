@@ -93,10 +93,13 @@ def coord_distances(pred: SceneCoordinateImage, gt: SceneCoordinateImage,
     gt_mask = gt.mask
     if select is not None:
         gt_mask = gt_mask & select
-    n_valid = int(gt_mask.sum())
+    idx = np.flatnonzero(gt_mask)
+    n_valid = idx.size
     if n_valid == 0:
         return np.empty(0), 0
-    diff = pred.coords[gt_mask] - gt.coords[gt_mask]
+    # np.take of flat rows gathers ~6x faster than a boolean index into (H, W, 3)
+    diff = (np.take(pred.coords.reshape(-1, 3), idx, axis=0)
+            - np.take(gt.coords.reshape(-1, 3), idx, axis=0))
     # spelled out per component so a scalar recomputation reproduces the bits
     dist = np.sqrt(diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1]
                    + diff[:, 2] * diff[:, 2])
@@ -176,7 +179,11 @@ def roc_percentages(dist: np.ndarray, n_valid: int, thresholds) -> np.ndarray:
     ``n_valid`` pixels within each threshold."""
     if n_valid == 0:
         raise EmptyMetricsError("no overlapping valid pixels to evaluate")
-    return np.array([100.0 * float((dist <= t).sum()) / n_valid for t in thresholds])
+    grid = np.asarray(thresholds, dtype=np.float64)
+    # the count of d <= t is where t goes right of its equals in sorted order
+    within = np.searchsorted(np.sort(dist), grid, side="right")
+    within[np.isnan(grid)] = 0  # NaN sorts last, but no d <= NaN
+    return 100.0 * within.astype(np.float64) / n_valid
 
 
 def distance_roc(pred: SceneCoordinateImage, gt: SceneCoordinateImage,

@@ -30,7 +30,10 @@ second for a half extent that is not positive and a label below 1000,
 above 2**32 - 1, not an integer or used twice. The pose and estimate
 readers share one line reader, which does the same per line, naming the
 line too: for a frame that is not a string or is repeated, a q that is not
-4 finite numbers or is zero, and a t that is not 3 finite numbers.
+4 finite numbers or is zero, and a t that is not 3 finite numbers. The
+PLY reader names the file and line of a header other than save_ply's
+(comment lines aside), a vertex line that is not three finite floats and
+a label in [0, 2**32 - 1], and a vertex count other than the header's.
 """
 
 from contextlib import contextmanager
@@ -78,6 +81,8 @@ _MAX_CONDITION = 1e12
 _COORD_MAGIC = b"SCRD1\n"
 _LABEL_MAGIC = b"LBLS1\n"
 _SCENE_KEYS = ("center", "half_extents", "yaw", "label")
+_PLY_PROPERTIES = ["x", "y", "z", "instance_label"]
+_PLY_ROW = np.dtype([("xyz", "<f8", (3,)), ("label", "<u4")])
 
 
 @contextmanager
@@ -290,45 +295,97 @@ def save_ply(path, points: np.ndarray, labels: np.ndarray) -> None:
     labs = np.asarray(labels).reshape(-1)
     if pts.shape[0] != labs.shape[0]:
         raise ValueError("points and labels must have matching lengths")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
     with atomic_open(path) as fh:
         fh.write("ply\nformat ascii 1.0\n")
         fh.write(f"element vertex {pts.shape[0]}\n")
         fh.write("property float x\nproperty float y\nproperty float z\n")
         fh.write("property uint instance_label\n")
         fh.write("end_header\n")
-        for (x, y, z), lab in zip(pts, labs):
-            fh.write(f"{float(x)!r} {float(y)!r} {float(z)!r} {int(lab)}\n")
+        fh.write("".join(f"{x!r} {y!r} {z!r} {int(lab)}\n"
+                         for (x, y, z), lab in zip(pts.tolist(), labs.tolist())))
+
+
+def _ply_header(path, lines) -> tuple:
+    """(vertex count, header line count) of a PLY header: "ply", "format
+    ascii 1.0", one "element vertex N" whose properties are x, y, z and
+    instance_label, "end_header"; comment lines may sit anywhere in it."""
+    if not lines or lines[0] != "ply":
+        raise ValueError(f"{path}, line 1: not a PLY file")
+    ascii_format, n_vertices, properties = False, None, []
+    for number, line in enumerate(lines[1:], 2):
+        words = line.split()
+        if words == ["end_header"]:
+            break
+        if words[:1] == ["comment"]:
+            continue
+        if words == ["format", "ascii", "1.0"] and not ascii_format:
+            ascii_format = True
+        elif (words[:2] == ["element", "vertex"] and len(words) == 3 and words[2].isdigit()
+              and n_vertices is None):
+            n_vertices = int(words[2])
+        elif words[:1] == ["property"] and len(words) == 3 and n_vertices is not None:
+            properties.append(words[2])
+        else:
+            raise ValueError(f"{path}, line {number}: unexpected PLY header line {line!r}")
+    else:
+        raise ValueError(f"{path}: truncated PLY header")
+    if not ascii_format or properties != _PLY_PROPERTIES:
+        raise ValueError(f"{path}, line {number}: expected format ascii 1.0 and vertex "
+                         f"properties {_PLY_PROPERTIES}, got {properties}")
+    return n_vertices, number
+
+
+def _ply_vertices(lines) -> np.ndarray:
+    """Structured rows (xyz, label) of PLY vertex lines, parsed by one
+    ``np.loadtxt``; a ValueError if a line is not three finite floats and a
+    label in [0, 2**32 - 1]."""
+    rows = np.loadtxt(lines, dtype=_PLY_ROW, ndmin=1, comments=None)
+    # loadtxt skips blank lines and reads "nan" and "inf"
+    if rows.size != len(lines) or not np.isfinite(rows["xyz"]).all():
+        raise ValueError("blank line or non-finite coordinate")
+    return rows
 
 
 def load_ply(path):
-    """Returns (points (N, 3), labels (N,))."""
-    with open(path, "r", encoding="ascii") as fh:
-        line = fh.readline().strip()
-        if line != "ply":
-            raise ValueError(f"{path}: not a PLY file")
-        n_vertices = None
-        properties = []
-        while True:
-            line = fh.readline()
-            if not line:
-                raise ValueError(f"{path}: truncated PLY header")
-            line = line.strip()
-            if line.startswith("element vertex"):
-                n_vertices = int(line.split()[-1])
-            elif line.startswith("property"):
-                properties.append(line.split()[-1])
-            elif line == "end_header":
-                break
-        required = ["x", "y", "z", "instance_label"]
-        if properties != required:
-            raise ValueError(f"{path}: expected properties {required}, got {properties}")
-        points = np.empty((n_vertices, 3))
-        labels = np.empty(n_vertices, dtype=np.uint32)
-        for i in range(n_vertices):
-            parts = fh.readline().split()
-            points[i] = [float(parts[0]), float(parts[1]), float(parts[2])]
-            labels[i] = int(parts[3])
-    return points, labels
+    """Returns (points (N, 3), labels (N,)).
+
+    Strict: after the header (see ``_ply_header``) come exactly N lines of
+    three finite floats and an integer label in [0, 2**32 - 1]; anything
+    else raises a ValueError naming the file and line.
+    """
+    raw = Path(path).read_bytes()
+    try:
+        lines = raw.decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not an ASCII PLY file: {exc}") from None
+    n_vertices, n_header = _ply_header(path, lines)
+    body = lines[n_header:]
+    if len(body) != n_vertices:
+        more = len(body) > n_vertices
+        raise ValueError(f"{path}, line {n_header + min(len(body), n_vertices) + 1}: "
+                         + ("data after the last vertex" if more else
+                            f"expected {n_vertices} vertices, got {len(body)}"))
+    if not body:
+        return np.empty((0, 3)), np.empty(0, dtype=np.uint32)
+    try:
+        rows = _ply_vertices(body)
+    except ValueError:
+        # the first bad line, parsing one line at a time
+        number, line = next((number, line) for number, line in enumerate(body, n_header + 1)
+                            if not (line.split() and _parses(line)))
+        raise ValueError(f"{path}, line {number}: expected x y z instance_label as three finite "
+                         f"floats and an integer in [0, 2**32 - 1], got {line!r}") from None
+    return np.ascontiguousarray(rows["xyz"]), rows["label"].copy()
+
+
+def _parses(line) -> bool:
+    try:
+        _ply_vertices([line])
+    except ValueError:
+        return False
+    return True
 
 
 def _pose_record(frame, pose: Pose) -> dict:

@@ -596,6 +596,22 @@ def project_pointcloud(points: np.ndarray, point_labels: np.ndarray, pose: Pose,
 # ---------------------------------------------------------------------------
 
 
+_PIXEL_ROW = np.dtype((np.void, 24))
+
+
+def _outlier_box(bounds, n: int) -> tuple:
+    """(lo, span), each broadcast to (n, 3), of the box that
+    ``rng.uniform(bounds[0], bounds[1], (n, 3))`` samples, with the checks
+    that call makes."""
+    lo = np.asarray(bounds[0], dtype=np.float64)
+    span = np.subtract(np.asarray(bounds[1], dtype=np.float64), lo)
+    if not np.isfinite(span).all():
+        raise OverflowError("outlier bounds: hi - lo is not finite")
+    if np.signbit(span).any():
+        raise ValueError("outlier bounds: hi - lo < 0")
+    return np.broadcast_to(lo, (n, 3)), np.broadcast_to(span, (n, 3))
+
+
 def simulate_predictions(gt_coords: SceneCoordinateImage, gt_labels: LabelImage,
                          noise: NoiseModel, imap: InstanceMap,
                          bounds: np.ndarray = None) -> tuple:
@@ -603,59 +619,87 @@ def simulate_predictions(gt_coords: SceneCoordinateImage, gt_labels: LabelImage,
 
     Deterministic per ``noise.seed``. ``bounds`` is the (2, 3) volume for
     outlier resampling; defaults to the frame's own coordinate box
-    inflated by 10%.
+    inflated by 10% of its span (a span of at least 1 m) on each side.
+
+    The noise stream is fixed: for a given seed the predictions keep their
+    bytes. A Philox generator keyed (seed, 3) makes these draws, in this
+    order, over the n valid pixels in raster order. Each step runs only
+    when its sigma or rate is positive:
+
+    1. ``normal(0, sigma, (n, 3))``, added to every valid pixel;
+    2. ``uniform(size=n)``: valid pixel i becomes an outlier where draw i
+       is below ``outlier_rate``;
+    3. ``uniform(lo, hi, (n, 3))``: row i is the new coordinate of
+       outlier i, and rows of other pixels go unused;
+    4. ``uniform(size=m)``, over the m valid pixels labelled with a mapped
+       instance, when the map holds at least two: pixel j flips where draw
+       j is below ``label_flip_rate``;
+    5. ``integers(0, L - 1, size=k)`` for the k flips: draw d picks the
+       d-th of the L mapped labels in ascending order, skipping the
+       pixel's own.
+
+    A flipped pixel keeps its local coordinates under the wrong transform.
+    Flips are whitened together per old label and unwhitened together per
+    new label, each group in raster order; the last bits of a matrix
+    product depend on the rows multiplied with it.
     """
     coords = gt_coords.coords.copy()
     labels = gt_labels.labels.copy()
-    valid = gt_coords.mask
-    n_valid = int(valid.sum())
+    idx = np.flatnonzero(gt_coords.mask)
+    n_valid = idx.size
     if n_valid == 0:
         return SceneCoordinateImage(coords), LabelImage(labels)
 
     rng = np.random.Generator(np.random.Philox(key=np.array([noise.seed, 3], dtype=np.uint64)))
+    flat = coords.reshape(-1, 3)
+    rows = np.take(flat, idx, axis=0)
+
+    if noise.outlier_rate > 0.0 and bounds is None:
+        # the box of the ground truth, so taken before the jitter; one column
+        # at a time, as min/max over axis 0 of (n, 3) rows is ~6x slower
+        lo = np.array([rows[:, j].min() for j in range(3)])
+        hi = np.array([rows[:, j].max() for j in range(3)])
+        span = np.maximum(hi - lo, 1.0)
+        bounds = np.array([lo - 0.1 * span, hi + 0.1 * span])
 
     if noise.coord_sigma > 0.0:
-        coords[valid] += rng.normal(0.0, noise.coord_sigma, size=(n_valid, 3))
+        rows += rng.normal(0.0, noise.coord_sigma, size=(n_valid, 3))
 
     if noise.outlier_rate > 0.0:
-        if bounds is None:
-            pts = gt_coords.coords[valid]
-            lo, hi = pts.min(axis=0), pts.max(axis=0)
-            span = np.maximum(hi - lo, 1.0)
-            bounds = np.array([lo - 0.1 * span, hi + 0.1 * span])
-        pick = rng.uniform(size=n_valid) < noise.outlier_rate
-        coords[valid] = np.where(
-            pick[:, None],
-            rng.uniform(bounds[0], bounds[1], size=(n_valid, 3)),
-            coords[valid])
+        pick = np.flatnonzero(rng.uniform(size=n_valid) < noise.outlier_rate)
+        lo, span = _outlier_box(bounds, n_valid)
+        # the doubles of uniform(lo, hi, (n, 3)), which is lo + span * u,
+        # evaluated for the picked rows only
+        u = rng.random((n_valid, 3))
+        rows[pick] = lo[pick] + span[pick] * u[pick]
 
     if noise.label_flip_rate > 0.0 and len(imap) >= 2:
         map_labels = np.array(imap.instance_labels(), dtype=np.uint32)
-        flippable = valid & np.isin(labels, map_labels)
-        n_flip_pool = int(flippable.sum())
-        if n_flip_pool:
-            pick = rng.uniform(size=n_flip_pool) < noise.label_flip_rate
-            flip_mask = np.zeros_like(flippable)
-            flip_mask[flippable] = pick
-            n_flips = int(flip_mask.sum())
-            if n_flips:
-                old = labels[flip_mask]
+        flat_labels = labels.reshape(-1)
+        pool = np.flatnonzero(np.isin(flat_labels[idx], map_labels))
+        if pool.size:
+            chosen = pool[rng.uniform(size=pool.size) < noise.label_flip_rate]
+            if chosen.size:
+                old = flat_labels[idx[chosen]]
                 pos = np.searchsorted(map_labels, old)
-                draw = rng.integers(0, len(map_labels) - 1, size=n_flips)
-                draw = np.where(draw >= pos, draw + 1, draw)
+                draw = rng.integers(0, len(map_labels) - 1, size=chosen.size)
+                draw += draw >= pos
                 new = map_labels[draw]
-                local = np.empty((n_flips, 3))
-                flat_coords = coords[flip_mask]
+                moved = rows[chosen]
+                local = np.empty_like(moved)
                 # labels present, ascending (np.unique would import numpy.ma)
                 for lab in map_labels[np.bincount(pos, minlength=map_labels.size) > 0]:
                     sel = old == lab
-                    local[sel] = whiten(imap.get(int(lab)), flat_coords[sel])
+                    local[sel] = whiten(imap.get(int(lab)), moved[sel])
                 for lab in map_labels[np.bincount(draw, minlength=map_labels.size) > 0]:
                     sel = new == lab
-                    flat_coords[sel] = unwhiten(imap.get(int(lab)), local[sel])
-                coords[flip_mask] = flat_coords
-                labels[flip_mask] = new
+                    moved[sel] = unwhiten(imap.get(int(lab)), local[sel])
+                rows[chosen] = moved
+                flat_labels[idx[chosen]] = new
 
+    # a pixel's row as one 24-byte item: np.put writes them ~5x faster than
+    # an assignment through a fancy index into (N, 3)
+    np.put(flat.view(_PIXEL_ROW).ravel(), idx, rows.view(_PIXEL_ROW).ravel())
     return SceneCoordinateImage(coords), LabelImage(labels)
 
 

@@ -391,6 +391,13 @@ class TestFitMapInputs:
         imap = fileio.load_instance_map(out)
         assert imap.instance_labels() == [1000, 1001]
 
+    def test_malformed_cloud_exits_2(self, tmp_path, rng, capsys):
+        cloud = tmp_path / "cloud.ply"
+        fileio.save_ply(cloud, rng.normal(size=(30, 3)), np.full(30, 1000, dtype=np.uint32))
+        cloud.write_text(cloud.read_text() + "1 2 3\n")
+        assert run("fit-map", "--cloud", cloud, "--out", tmp_path / "map.json") == 2
+        assert f"{cloud}, line 39:" in capsys.readouterr().err
+
     def test_permuted_point_order_gives_identical_map(self, tmp_path, rng):
         pts = rng.normal(size=(60, 3)) * 4.0
         labels = np.full(60, 1000, dtype=np.uint32)

@@ -1,3 +1,4 @@
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -193,3 +194,15 @@ class TestDistanceRoc:
         assert np.allclose(pooled, weighted, rtol=1e-12)
         with pytest.raises(EmptyMetricsError):
             roc_percentages(np.empty(0), 0, grid)
+
+    @settings(max_examples=200, deadline=None)
+    @given(dist=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5, np.inf, np.nan])
+                         | st.floats(0.0, 10.0), max_size=40),
+           thresholds=st.lists(st.sampled_from([0.5, 1.0, np.inf, -np.inf, np.nan])
+                               | st.floats(-1.0, 11.0), min_size=1, max_size=8))
+    def test_roc_counts_equal_per_threshold_comparisons(self, dist, thresholds):
+        # ties at a threshold, infinite and NaN distances and thresholds
+        dist = np.array(dist, dtype=np.float64)
+        n_valid = dist.size + 1
+        expected = [100.0 * float((dist <= t).sum()) / n_valid for t in thresholds]
+        assert roc_percentages(dist, n_valid, thresholds).tolist() == expected

@@ -345,6 +345,70 @@ class TestPlyFile:
         assert "element vertex 1" in text
         assert "property uint instance_label" in text
 
+    @settings(max_examples=50, deadline=None)
+    @given(points=st.lists(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3),
+                           max_size=20),
+           labels=st.lists(st.integers(0, 2**32 - 1), min_size=20, max_size=20))
+    def test_save_load_save_keeps_bytes(self, points, labels):
+        pts = np.array(points, dtype=np.float64).reshape(-1, 3)
+        labs = np.array(labels[:len(points)], dtype=np.uint32)
+        with tempfile.TemporaryDirectory() as tmp:
+            a, b = Path(tmp) / "a.ply", Path(tmp) / "b.ply"
+            fileio.save_ply(a, pts, labs)
+            back_pts, back_labels = fileio.load_ply(a)
+            fileio.save_ply(b, back_pts, back_labels)
+            assert a.read_bytes() == b.read_bytes()
+        assert back_pts.tobytes() == pts.tobytes() and back_labels.tobytes() == labs.tobytes()
+
+    HEADER = ("ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\nproperty float y\n"
+              "property float z\nproperty uint instance_label\nend_header\n")
+
+    @pytest.mark.parametrize("text, line", [
+        (HEADER + "1 2 3 1000\n4 5 6\n", 10),  # short vertex line
+        (HEADER + "1 2 3 1000\n4 5 6 1000 7\n", 10),
+        (HEADER + "1 2 nan 1000\n4 5 6 1000\n", 9),
+        (HEADER + "1 2 3 1000\n4 -inf 6 1000\n", 10),
+        (HEADER + "1 2 3 1000\n4 5 6 1000\n7 8 9 1000\n", 11),  # trailing line
+        (HEADER + "1 2 3 1000\n\n", 10),
+        (HEADER + "1 2 3 1000\n", 10),  # one vertex short
+        (HEADER + "1 2 3 -1\n4 5 6 1000\n", 9),
+        (HEADER + "1 2 3 4294967296\n4 5 6 1000\n", 9),
+        (HEADER + "1 2 3 1000.5\n4 5 6 1000\n", 9),
+        (HEADER + "1 2 x 1000\n4 5 6 1000\n", 9),
+        (HEADER.replace("element vertex 2\n", ""), 3),  # no element vertex
+        (HEADER.replace("vertex 2", "vertex two"), 3),
+        (HEADER.replace("ascii", "binary_little_endian"), 2),
+        (HEADER.replace("format ascii 1.0\n", ""), 7),
+        (HEADER.replace("property float z\n", ""), 7),
+        ("plyx\n", 1),
+    ])
+    def test_malformed_file_names_file_and_line(self, tmp_path, text, line):
+        path = tmp_path / "bad.ply"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line {line}:")):
+            fileio.load_ply(path)
+
+    def test_truncated_header_and_non_ascii_name_the_file(self, tmp_path):
+        path = tmp_path / "bad.ply"
+        for raw in (b"ply\nformat ascii 1.0\n", b"ply\ncomment \xff\nend_header\n"):
+            path.write_bytes(raw)
+            with pytest.raises(ValueError, match=re.escape(str(path))):
+                fileio.load_ply(path)
+
+    def test_comments_and_empty_cloud_load(self, tmp_path):
+        path = tmp_path / "c.ply"
+        fileio.save_ply(path, np.empty((0, 3)), np.empty(0, dtype=np.uint32))
+        pts, labels = fileio.load_ply(path)
+        assert pts.shape == (0, 3) and labels.shape == (0,) and labels.dtype == np.uint32
+        path.write_text(self.HEADER.replace("ply\n", "ply\ncomment made by hand\n")
+                        + "1 2 3 1000\n4 5 6 1001\n")
+        pts, labels = fileio.load_ply(path)
+        assert pts.tolist() == [[1, 2, 3], [4, 5, 6]] and labels.tolist() == [1000, 1001]
+
+    def test_save_rejects_non_finite_points(self, tmp_path):
+        with pytest.raises(ValueError, match="finite"):
+            fileio.save_ply(tmp_path / "c.ply", np.array([[0.0, np.nan, 1.0]]), np.array([1000]))
+
 
 class TestEstimateFiles:
     def test_round_trip_with_failures(self, tmp_path, rng):

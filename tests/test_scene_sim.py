@@ -8,8 +8,9 @@ from scipy.stats import maxwell
 from panoloc import scene_sim
 from panoloc.geometry import (Pose, heading_pose, image_bearings, pixel_to_bearing,
                               quaternion_to_rotation)
-from panoloc.images import ROAD_LABEL, SKY_LABEL, VOID_LABEL
-from panoloc.instance_map import build_instance_map
+from panoloc.images import ROAD_LABEL, SKY_LABEL, VOID_LABEL, LabelImage, SceneCoordinateImage
+from panoloc.instance_map import (InstanceMap, build_instance_map, fit_whitening, unwhiten,
+                                  whiten)
 from panoloc.pnp import Correspondences, angular_residuals
 from panoloc.scene_sim import (LARGE_CITY, SMALL_CITY, CityScene, Cuboid, NoiseModel,
                                PlacementError, _intersect_boxes, _pixel_windows,
@@ -458,6 +459,105 @@ class TestSimulatePredictions:
         b_coords, b_labels = simulate_predictions(coords, labels, nm, imap)
         assert np.array_equal(a_coords.coords, b_coords.coords, equal_nan=True)
         assert np.array_equal(a_labels.labels, b_labels.labels)
+
+    @staticmethod
+    def _reference(coords, labels, noise, imap, bounds):
+        """The documented noise stream, drawn in order and applied pixel by
+        pixel in raster order."""
+        out, out_labels = coords.copy(), labels.copy()
+        height, width, _ = coords.shape
+        valid = [(r, c) for r in range(height) for c in range(width)
+                 if all(math.isfinite(x) for x in coords[r, c])]
+        n = len(valid)
+        if n == 0:
+            return out, out_labels
+        rng = np.random.Generator(np.random.Philox(key=np.array([noise.seed, 3], dtype=np.uint64)))
+        if noise.coord_sigma > 0.0:
+            jitter = rng.normal(0.0, noise.coord_sigma, size=(n, 3))
+            for i, (r, c) in enumerate(valid):
+                for j in range(3):
+                    out[r, c, j] = coords[r, c, j] + jitter[i, j]
+        if noise.outlier_rate > 0.0:
+            if bounds is None:
+                lo = [min(coords[r, c, j] for r, c in valid) for j in range(3)]
+                hi = [max(coords[r, c, j] for r, c in valid) for j in range(3)]
+                span = [max(h - l, 1.0) for l, h in zip(lo, hi)]
+                bounds = np.array([[l - 0.1 * s for l, s in zip(lo, span)],
+                                   [h + 0.1 * s for h, s in zip(hi, span)]])
+            pick = rng.uniform(size=n)
+            box = rng.uniform(bounds[0], bounds[1], size=(n, 3))
+            for i, (r, c) in enumerate(valid):
+                if pick[i] < noise.outlier_rate:
+                    out[r, c] = box[i]
+        map_labels = imap.instance_labels()
+        if noise.label_flip_rate > 0.0 and len(map_labels) >= 2:
+            pool = [(r, c) for r, c in valid if int(labels[r, c]) in map_labels]
+            if pool:
+                pick = rng.uniform(size=len(pool))
+                flips = [p for p, u in zip(pool, pick) if u < noise.label_flip_rate]
+                if flips:
+                    draws = rng.integers(0, len(map_labels) - 1, size=len(flips))
+                    olds = [int(labels[p]) for p in flips]
+                    news = [map_labels[d + (d >= map_labels.index(old))]
+                            for d, old in zip(draws, olds)]
+                    # The transforms run as (k, 3) matrix products, whose last
+                    # bits depend on the rows multiplied together: flipped
+                    # pixels are whitened per old label and unwhitened per
+                    # new label, each group in raster order.
+                    local = {}
+                    for lab in sorted(set(olds)):
+                        group = [p for p, old in zip(flips, olds) if old == lab]
+                        rows = whiten(imap.get(lab), np.array([out[p] for p in group]))
+                        local.update(zip(group, rows))
+                    for lab in sorted(set(news)):
+                        group = [p for p, new in zip(flips, news) if new == lab]
+                        rows = unwhiten(imap.get(lab), np.array([local[p] for p in group]))
+                        for p, row in zip(group, rows):
+                            out[p] = row
+                            out_labels[p] = lab
+        return out, out_labels
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data_seed=st.integers(0, 2**16),
+           sigma=st.sampled_from([0.0, 0.33, 2.5]),
+           outlier_rate=st.sampled_from([0.0, 0.02, 0.5, 1.0]),
+           flip_rate=st.sampled_from([0.0, 0.1, 1.0]),
+           nan_share=st.sampled_from([0.0, 0.3, 1.0]),
+           box=st.sampled_from(["frame", "given", "flat"]))
+    def test_matches_scalar_reference_bitwise(self, seed, data_seed, sigma, outlier_rate,
+                                              flip_rate, nan_share, box):
+        rng = np.random.default_rng(data_seed)
+        coords = rng.uniform(-80.0, 80.0, (8, 16, 3))
+        # one coordinate per invalid pixel goes NaN, so a valid pixel needs all three finite
+        holes = np.argwhere(rng.uniform(size=(8, 16)) < nan_share)
+        coords[holes[:, 0], holes[:, 1], rng.integers(0, 3, len(holes))] = np.nan
+        if box == "flat":
+            coords[..., 1] = 4.0  # a flat frame: its own box gets the 1 m span floor
+        labels = rng.choice(np.array([VOID_LABEL, SKY_LABEL, 1000, 1001, 1002, 1003], np.uint32),
+                            size=(8, 16))
+        imap = InstanceMap({lab: fit_whitening(rng.normal(size=(6, 3)) * 5.0 + 20.0 * k, lab)
+                            for k, lab in enumerate((1000, 1001, 1002))}, 6)
+        bounds = (np.array([[-100.0, -5.0, -90.0], [120.0, 60.0, 95.0]])
+                  if box == "given" else None)
+        noise = NoiseModel(coord_sigma=sigma, outlier_rate=outlier_rate,
+                           label_flip_rate=flip_rate, seed=seed)
+        out, out_labels = simulate_predictions(SceneCoordinateImage(coords), LabelImage(labels),
+                                               noise, imap, bounds)
+        ref, ref_labels = self._reference(coords, labels, noise, imap, bounds)
+        assert out.coords.tobytes() == ref.tobytes()
+        assert out_labels.labels.tobytes() == ref_labels.tobytes()
+
+    @pytest.mark.parametrize("bounds, error", [
+        ([[0.0, 0.0, 0.0], [np.inf, 1.0, 1.0]], OverflowError),  # hi - lo not finite
+        ([[0.0, np.nan, 0.0], [1.0, 1.0, 1.0]], OverflowError),
+        ([[0.0, 5.0, 0.0], [1.0, 1.0, 1.0]], ValueError),  # hi < lo
+        ([[0.0] * 4, [1.0] * 4], ValueError),  # does not broadcast to (n, 3)
+    ])
+    def test_bad_outlier_bounds_raise(self, bounds, error):
+        coords, labels, imap = self._gt_and_map(seed=5, dims=(32, 16))
+        with pytest.raises(error):
+            simulate_predictions(coords, labels, NoiseModel(outlier_rate=0.1, seed=6), imap,
+                                 bounds=np.array(bounds))
 
 
 class TestRemoveBuildings:
