@@ -2,7 +2,10 @@
 
 Subcommands: generate, render, fit-map, predict-sim, localize, evaluate.
 Every command is a pure function of (input files, flags, seed); re-running
-writes byte-identical outputs. Flags can also be supplied through a JSON
+writes byte-identical outputs. A flag exists only on the subcommands that
+read it. The per-frame stages work on each frame whole in one thread and
+pool results in frame order, so ``--threads`` never changes the bytes;
+generate accepts it unused. Flags can also be supplied through a JSON
 config file (top-level keys and/or per-subcommand sections); explicit
 flags win, and a key that is no flag is bad input. Exit codes: 0 success,
 2 bad input, 3 localisation reached no consensus on any frame.
@@ -52,7 +55,7 @@ def _write_meta(out_dir: Path, command: str, args: argparse.Namespace) -> None:
     skip = {"func", "config"}
     flags = {k: v for k, v in sorted(vars(args).items())
              if k not in skip and not callable(v)}
-    meta = {"command": command, "seed": flags.get("seed"), "flags": flags}
+    meta = {"command": command, "flags": flags}
     fileio.save_json(out_dir / f"{command.replace('-', '_')}_meta.json", meta, default=str)
 
 
@@ -124,14 +127,16 @@ def cmd_fit_map(args) -> int:
         points, labels = fileio.load_ply(_require(args.cloud, "point cloud"))
     elif args.frames:
         frames_dir = _require(args.frames, "frames directory")
-        chunks_p, chunks_l = [], []
-        for i, frame in enumerate(fileio.list_frames(frames_dir)):
+
+        def read(item):
+            index, frame = item
             coords, labs = fileio.load_frame(frames_dir, frame)
             sel = np.flatnonzero(coords.mask & labs.instance_mask)
-            sel = sel[_subsample(sel.size, args.max_points_per_frame, args.seed, 10_000 + i)]
-            chunks_p.append(np.take(coords.coords.reshape(-1, 3), sel, axis=0))
-            chunks_l.append(labs.labels.reshape(-1)[sel])
-        points, labels = np.concatenate(chunks_p), np.concatenate(chunks_l)
+            sel = sel[_subsample(sel.size, args.max_points_per_frame, args.seed, 10_000 + index)]
+            return np.take(coords.coords.reshape(-1, 3), sel, axis=0), labs.labels.reshape(-1)[sel]
+
+        chunks = _map_frames(read, list(enumerate(fileio.list_frames(frames_dir))), args.threads)
+        points, labels = (np.concatenate(parts) for parts in zip(*chunks))
     else:
         raise InputError("either --frames or --cloud is required")
 
@@ -156,12 +161,15 @@ def cmd_predict_sim(args) -> int:
         scene = fileio.load_scene(_require(args.scene, "scene file"))
         bounds = scene.aabb(inflate=0.1)
 
-    frames = fileio.list_frames(frames_dir)
-    for i, frame in enumerate(frames):
+    def predict(item):
+        index, frame = item
         noise = scene_sim.NoiseModel(coord_sigma=args.sigma, outlier_rate=args.outlier_rate,
-                                     label_flip_rate=args.label_flip_rate, seed=args.seed + i)
+                                     label_flip_rate=args.label_flip_rate, seed=args.seed + index)
         fileio.save_frame(out_dir, frame, *scene_sim.simulate_predictions(
             *fileio.load_frame(frames_dir, frame), noise, imap, bounds=bounds))
+
+    frames = fileio.list_frames(frames_dir)
+    _map_frames(predict, list(enumerate(frames)), args.threads)
     _write_meta(out_dir, "predict-sim", args)
     print(f"predict-sim: {len(frames)} frames (sigma={args.sigma}, "
           f"outliers={args.outlier_rate}, flips={args.label_flip_rate}) -> {out_dir}")
@@ -229,31 +237,29 @@ def cmd_evaluate(args) -> int:
     if errors:
         report["pose"] = evaluation.pose_metrics(errors, percentiles).as_dict()
         dist_curve, angle_curve = evaluation.error_curves(errors)
-        _write_curve(out_dir / "dist_curve.csv", dist_curve)
-        _write_curve(out_dir / "angle_curve.csv", angle_curve)
+        fileio.save_curve_csv(out_dir / "dist_curve.csv", dist_curve)
+        fileio.save_curve_csv(out_dir / "angle_curve.csv", angle_curve)
 
     if args.pred_frames and args.gt_frames:
         pred_dir = _require(args.pred_frames, "predicted frames")
         gt_dir = _require(args.gt_frames, "ground-truth frames")
-        chunks = {"coord": [], "coord_buildings": []}
-        for frame in fileio.list_frames(gt_dir):
+
+        def distances(frame):
             pred = fileio.load_frame_coords(pred_dir, frame)
             gt, gt_labels = fileio.load_frame(gt_dir, frame)
             # distances come in raster order over gt-valid pixels; pick the buildings among them
             dist = evaluation.coord_distances(pred, gt)[0]
-            chunks["coord"].append(dist)
-            chunks["coord_buildings"].append(dist[gt_labels.instance_mask[gt.mask]])
-        rows = []
-        for key, parts in chunks.items():
+            return dist, dist[gt_labels.instance_mask[gt.mask]]
+
+        chunks = _map_frames(distances, fileio.list_frames(gt_dir), args.threads)
+        columns = []
+        for key, parts in zip(("coord", "coord_buildings"), zip(*chunks)):
             dist = np.concatenate(parts)
             if dist.size:
                 report[key] = evaluation.coord_metrics(dist, dist.size).as_dict()
-                rows.append((key, evaluation.roc_percentages(dist, dist.size, _ROC_THRESHOLDS)))
-        if rows:
-            with fileio.atomic_open(out_dir / "roc.csv") as fh:
-                fh.write("threshold_m," + ",".join(key for key, _ in rows) + "\n")
-                for i, t in enumerate(_ROC_THRESHOLDS):
-                    fh.write(f"{t:g}," + ",".join(f"{float(pct[i])!r}" for _, pct in rows) + "\n")
+                columns.append((key, evaluation.roc_percentages(dist, dist.size, _ROC_THRESHOLDS)))
+        if columns:
+            fileio.save_roc_csv(out_dir / "roc.csv", _ROC_THRESHOLDS, columns)
 
     fileio.save_json(out_dir / "report.json", report, sort_keys=True)
     _write_meta(out_dir, "evaluate", args)
@@ -264,13 +270,6 @@ def cmd_evaluate(args) -> int:
     else:
         print(f"evaluate: no successful frames -> {out_dir}")
     return 0
-
-
-def _write_curve(path, values) -> None:
-    with fileio.atomic_open(path) as fh:
-        fh.write("rank,value\n")
-        for i, v in enumerate(values):
-            fh.write(f"{i},{float(v)!r}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -285,10 +284,13 @@ def build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
     subparsers = {}
 
-    def add(name, func, help, **defaults):
+    def add(name, func, help, seeded=True, **defaults):
         p = subparsers[name] = subs.add_parser(name, help=help)
-        p.add_argument("--seed", type=int, default=0, help="global random seed")
-        p.add_argument("--threads", type=int, default=1, help="worker threads")
+        if seeded:
+            p.add_argument("--seed", type=int, default=0, help="global random seed")
+        p.add_argument("--threads", type=int, default=1,
+                       help="threads to split frames over (unused by generate); "
+                            "never changes the output")
         p.add_argument("--config", type=str, default=None,
                        help="JSON config file; explicit flags override it")
         p.add_argument("--out", type=str, required=False, default="out",
@@ -303,7 +305,7 @@ def build_parser():
     p.add_argument("--poses", type=int, default=100)
     p.add_argument("--camera-height", type=float, default=2.0)
 
-    p = add("render", cmd_render, "ray-cast ground-truth frames")
+    p = add("render", cmd_render, "ray-cast ground-truth frames", seeded=False)
     p.add_argument("--scene", type=str, required=True)
     p.add_argument("--poses", type=str, required=True)
     p.add_argument("--dims", type=str, default="512x256")
@@ -331,7 +333,7 @@ def build_parser():
     p.add_argument("--max-corrs", type=int, default=5000,
                    help="seeded per-frame correspondence cap (0 = no cap)")
 
-    p = add("evaluate", cmd_evaluate, "score estimates and predictions")
+    p = add("evaluate", cmd_evaluate, "score estimates and predictions", seeded=False)
     p.add_argument("--estimates", type=str, required=True)
     p.add_argument("--gt-poses", type=str, required=True)
     p.add_argument("--pred-frames", type=str, default=None)

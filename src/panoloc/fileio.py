@@ -17,6 +17,11 @@
     w >= 0, t the translation of the world->camera map. Estimate records
     add "inliers" and "mean_residual_deg"; a frame that failed is written
     {"frame", "failed": true, "reason"}.
+  Evaluation CSV: roc.csv has the header "threshold_m,<column>,..." and
+    one row per threshold, the threshold formatted with "g" and then each
+    column's percentage of pixels within it; dist_curve.csv and
+    angle_curve.csv have the header "rank,value" and one row per value.
+    Values are written with repr, so they read back exactly.
 
 All writers are deterministic: identical inputs give identical bytes.
 They write a temporary file in the target's directory and rename it over
@@ -73,6 +78,8 @@ __all__ = [
     "load_poses_jsonl",
     "save_estimates_jsonl",
     "load_estimates_jsonl",
+    "save_roc_csv",
+    "save_curve_csv",
 ]
 
 # Largest condition number of an instance map's W: beyond it, whitening
@@ -451,3 +458,19 @@ def load_estimates_jsonl(path) -> list:
     return _read_jsonl(path, lambda rec: (
         (rec["frame"], None, 0, math.nan, str(rec["reason"])) if rec.get("failed") else
         (rec["frame"], _pose(rec), int(rec["inliers"]), float(rec["mean_residual_deg"]), None)))
+
+
+def save_roc_csv(path, thresholds, columns) -> None:
+    """Write roc.csv from [(name, percentages per threshold)] columns."""
+    with atomic_open(path) as fh:
+        fh.write("threshold_m," + ",".join(name for name, _ in columns) + "\n")
+        for i, t in enumerate(thresholds):
+            fh.write(f"{t:g}," + ",".join(f"{float(pct[i])!r}" for _, pct in columns) + "\n")
+
+
+def save_curve_csv(path, values) -> None:
+    """Write an error curve: one "rank,value" row per value, in order."""
+    with atomic_open(path) as fh:
+        fh.write("rank,value\n")
+        for i, v in enumerate(values):
+            fh.write(f"{i},{float(v)!r}\n")

@@ -33,8 +33,6 @@ __all__ = [
     "heading_pose",
 ]
 
-_ORTHONORMAL_TOL = 1e-9
-
 
 def _check_dims(width: int, height: int) -> None:
     if height < 1 or width != 2 * height:
@@ -86,16 +84,6 @@ class Pose:
             return self.rotation @ (pts - self.translation)
         return (pts - self.translation) @ self.rotation.T
 
-    def compose(self, other: "Pose") -> "Pose":
-        """Pose whose world->camera map applies ``other`` first, then ``self``."""
-        rot = other.rotation @ self.rotation
-        tra = self.rotation.T @ other.translation + self.translation
-        return Pose(rot, tra)
-
-    def is_orthonormal(self, tol: float = _ORTHONORMAL_TOL) -> bool:
-        dev = np.abs(self.rotation.T @ self.rotation - np.eye(3)).max()
-        return bool(dev <= tol and abs(np.linalg.det(self.rotation) - 1.0) <= tol)
-
 
 def pixel_to_bearing(u, v, width: int, height: int) -> np.ndarray:
     """Unit bearing vector(s) for pixel coordinate(s) (u, v).
@@ -118,18 +106,19 @@ def bearing_to_pixel(bearing: np.ndarray, width: int, height: int):
     """Continuous pixel coordinates (u, v) of bearing vector(s).
 
     Longitude wraps so u lies in [0, W); v may touch the half-pixel band
-    at the poles ([-0.5, H - 0.5]).
+    at the poles ([-0.5, H - 0.5], the poles landing on its ends exactly).
     """
     _check_dims(width, height)
     b = np.asarray(bearing, dtype=np.float64)
-    norm = np.linalg.norm(b, axis=-1)
-    if np.any(norm < 1e-12):
+    if np.any(np.linalg.norm(b, axis=-1) < 1e-12):
         raise ValueError("bearing vector must be nonzero")
     x, y, z = b[..., 0], b[..., 1], b[..., 2]
     theta = np.arctan2(x, z)
-    phi = np.arcsin(np.clip(-y / norm, -1.0, 1.0))
+    # atan2 keeps the latitude next to a pole, where arcsin(-y / |b|) loses it;
+    # |phi| <= pi/2 makes phi / pi lie in [-0.5, 0.5] exactly, so v stays in range
+    phi = np.arctan2(-y, np.hypot(x, z))
     u = (theta + np.pi) * width / (2.0 * np.pi) - 0.5
-    v = (np.pi / 2.0 - phi) * height / np.pi - 0.5
+    v = (0.5 - phi / np.pi) * height - 0.5
     u = np.where(u < 0.0, u + width, u)
     return u, v
 

@@ -154,16 +154,6 @@ class InstanceMap:
                 out[sel] = whiten(tf, coords[sel])
         return out
 
-    def unwhiten_image(self, local: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`whiten_image`."""
-        out = np.full(local.shape, np.nan)
-        finite = np.isfinite(local).all(axis=-1)
-        for label, tf in self.transforms.items():
-            sel = (labels == label) & finite
-            if np.any(sel):
-                out[sel] = unwhiten(tf, local[sel])
-        return out
-
 
 def build_instance_map(points: np.ndarray, labels: np.ndarray) -> InstanceMap:
     """Fit one whitening transform per building-instance label.

@@ -137,7 +137,6 @@ class PoseEstimate:
     pose: Pose
     inlier_indices: np.ndarray
     mean_inlier_angle_deg: float
-    iterations_used: int
     config: RansacConfig = None
 
 
@@ -715,7 +714,7 @@ def ransac_pnp(corrs: Correspondences, cfg: RansacConfig = None, threads: int = 
     if best_it >= 0:
         inliers = np.flatnonzero(res < cfg.inlier_threshold_deg)
         best_effort = PoseEstimate(Pose(rots[best_it], ts[best_it]), inliers,
-                                   float(res[inliers].mean()), cfg.iterations, cfg)
+                                   float(res[inliers].mean()), cfg)
 
     if best_effort is None or inliers.size < cfg.min_sample + 1:
         raise NoConsensusError(
@@ -735,5 +734,5 @@ def ransac_pnp(corrs: Correspondences, cfg: RansacConfig = None, threads: int = 
         inliers = np.flatnonzero(refit_res < cfg.inlier_threshold_deg)
         if inliers.size >= estimate.inlier_indices.size:
             res = refit_res
-            estimate = PoseEstimate(refit, inliers, float(res[inliers].mean()), cfg.iterations, cfg)
+            estimate = PoseEstimate(refit, inliers, float(res[inliers].mean()), cfg)
     return estimate

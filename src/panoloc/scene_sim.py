@@ -1,5 +1,5 @@
-"""Synthetic cuboid city: generation, ray-cast ground truth, point-cloud
-projection, prediction-noise simulation and cuboid map approximation.
+"""Synthetic cuboid city: generation, ray-cast ground truth,
+prediction-noise simulation and cuboid map approximation.
 
 The world is y-up with an infinite ground plane at y = 0; buildings are
 yawed cuboids resting on the ground, each carrying a globally unique
@@ -32,9 +32,9 @@ import math
 
 import numpy as np
 
-from .geometry import Pose, bearing_to_pixel, heading_pose, image_bearings
-from .images import (FIRST_INSTANCE_LABEL, ROAD_LABEL, SKY_LABEL, VOID_LABEL,
-                     LabelImage, SceneCoordinateImage)
+from .geometry import Pose, heading_pose, image_bearings
+from .images import (FIRST_INSTANCE_LABEL, ROAD_LABEL, SKY_LABEL, LabelImage,
+                     SceneCoordinateImage)
 from .instance_map import InstanceMap, unwhiten, whiten
 
 __all__ = [
@@ -46,12 +46,10 @@ __all__ = [
     "generate_city",
     "sample_trajectory",
     "raycast_render",
-    "project_pointcloud",
     "simulate_predictions",
     "remove_buildings",
     "cuboid_approximation",
     "approximate_city",
-    "cuboids_overlap",
     "SMALL_CITY",
     "LARGE_CITY",
 ]
@@ -159,32 +157,6 @@ class Cuboid:
     def corners(self) -> np.ndarray:
         """(8, 3) world corners in a fixed sign order."""
         return _box_corners(self.center, self.half_extents, *_cos_sin(self.yaw))
-
-    def contains(self, point: np.ndarray, margin: float = 0.0) -> bool:
-        local = _to_box_frame(point, self.center, *_cos_sin(self.yaw))
-        return bool(np.all(np.abs(local) <= self.half_extents + margin))
-
-    def surface_distance(self, point: np.ndarray) -> float:
-        """Unsigned distance from a point to the box surface."""
-        d = np.abs(_to_box_frame(point, self.center, *_cos_sin(self.yaw))) - self.half_extents
-        outside = np.linalg.norm(np.maximum(d, 0.0))
-        inside = -min(0.0, float(np.max(d)))
-        return float(outside) if outside > 0.0 else inside
-
-
-def cuboids_overlap(a: Cuboid, b: Cuboid) -> bool:
-    """Separating-axis overlap test for two yawed, ground-aligned boxes.
-
-    The candidate axes are y and each box's own x and z, so each box's
-    corners are tested against the other box in that box's frame. Boxes
-    that only touch do not overlap.
-    """
-    for box, other in ((a, b), (b, a)):
-        local = _to_box_frame(other.corners(), box.center, *_cos_sin(box.yaw))
-        if np.any((local.min(axis=0) >= box.half_extents)
-                  | (local.max(axis=0) <= -box.half_extents)):
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -531,62 +503,6 @@ def raycast_render(scene: CityScene, pose: Pose, dims) -> tuple:
     box_hit = hit & ~take_ground
     out_labels[box_hit] = scene.box_labels[idx_box[box_hit]]
 
-    return (SceneCoordinateImage(coords.reshape(height, width, 3)),
-            LabelImage(out_labels.reshape(height, width)))
-
-
-# ---------------------------------------------------------------------------
-# Point-cloud projection
-# ---------------------------------------------------------------------------
-
-
-def project_pointcloud(points: np.ndarray, point_labels: np.ndarray, pose: Pose,
-                       dims, reference_labels: LabelImage = None) -> tuple:
-    """Z-buffer a labelled point cloud into an image, instance-consistently.
-
-    Each point lands on the pixel of its bearing. Per pixel the nearest
-    point whose label matches the pixel's reference label wins; the
-    reference is the supplied label image when given, otherwise the label
-    of the overall nearest point.
-    """
-    width, height = dims
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    labs = np.asarray(point_labels).reshape(-1).astype(np.uint32)
-    if pts.shape[0] == 0:
-        raise ValueError("point cloud is empty")
-
-    cam = pose.world_to_camera(pts)
-    depth = np.linalg.norm(cam, axis=1)
-    usable = depth > 1e-9
-    u, v = bearing_to_pixel(cam[usable] / depth[usable, None], width, height)
-    cols = np.rint(u).astype(np.int64) % width
-    rows = np.clip(np.rint(v).astype(np.int64), 0, height - 1)
-    pix = rows * width + cols
-    pdepth = depth[usable]
-    pidx = np.flatnonzero(usable)
-
-    order = np.lexsort((pdepth, pix))
-    pix_sorted = pix[order]
-    first = np.ones(order.shape[0], dtype=bool)
-    first[1:] = pix_sorted[1:] != pix_sorted[:-1]
-
-    if reference_labels is None:
-        ref = np.zeros(width * height, dtype=np.uint32)
-        ref[pix_sorted[first]] = labs[pidx[order[first]]]
-    else:
-        ref = reference_labels.labels.reshape(-1)
-
-    match = labs[pidx[order]] == ref[pix_sorted]
-    morder = order[match]
-    mpix = pix[morder]
-    mfirst = np.ones(morder.shape[0], dtype=bool)
-    mfirst[1:] = mpix[1:] != mpix[:-1]
-    chosen = morder[mfirst]
-
-    coords = np.full((width * height, 3), np.nan)
-    out_labels = np.full(width * height, VOID_LABEL, dtype=np.uint32)
-    coords[pix[chosen]] = pts[pidx[chosen]]
-    out_labels[pix[chosen]] = labs[pidx[chosen]]
     return (SceneCoordinateImage(coords.reshape(height, width, 3)),
             LabelImage(out_labels.reshape(height, width)))
 

@@ -43,6 +43,41 @@ def mini_pipeline(tmp_path_factory):
     return root
 
 
+# argv of each stage that takes --threads, reading inputs from ``root`` and
+# writing to ``out``: fit-map subsamples, and predict-sim adds outliers and
+# label flips, so every seeded path runs
+THREADED_STAGES = {
+    "render": lambda root, out: [
+        "render", "--scene", root / "gen" / "scene.json", "--poses", root / "gen" / "poses.jsonl",
+        "--dims", "128x64", "--out", out],
+    "fit-map": lambda root, out: [
+        "fit-map", "--frames", root / "render", "--max-points-per-frame", 300, "--seed", 2,
+        "--out", out / "map.json"],
+    "predict-sim": lambda root, out: [
+        "predict-sim", "--frames", root / "render", "--map", root / "fit-map" / "map.json",
+        "--sigma", 0.1, "--outlier-rate", 0.3, "--label-flip-rate", 0.1, "--seed", 2,
+        "--out", out],
+    "localize": lambda root, out: [
+        "localize", "--frames", root / "predict-sim", "--map", root / "fit-map" / "map.json",
+        "--iterations", 200, "--seed", 2, "--out", out],
+    "evaluate": lambda root, out: [
+        "evaluate", "--estimates", root / "localize" / "estimates.jsonl",
+        "--gt-poses", root / "gen" / "poses.jsonl", "--pred-frames", root / "predict-sim",
+        "--gt-frames", root / "render", "--percentiles", 80, "--out", out],
+}
+
+
+@pytest.fixture(scope="module")
+def threads_pipeline(tmp_path_factory):
+    """A noisy serial run, one directory per stage named after it."""
+    root = tmp_path_factory.mktemp("threads")
+    assert run("generate", "--buildings", 8, "--grid", "4x3", "--poses", 5,
+               "--seed", 2, "--out", root / "gen") == 0
+    for stage, argv in THREADED_STAGES.items():
+        assert run(*argv(root, root / stage)) == 0
+    return root
+
+
 class TestPipeline:
     def test_generate_outputs(self, mini_pipeline):
         scene = fileio.load_scene(mini_pipeline / "gen" / "scene.json")
@@ -87,6 +122,7 @@ class TestPipeline:
 
     def test_localize_metadata_echoes_defaults(self, mini_pipeline):
         meta = json.loads((mini_pipeline / "loc" / "localize_meta.json").read_text())
+        assert set(meta) == {"command", "flags"}  # the seed is one of the flags
         assert meta["flags"]["iterations"] == 200
         assert meta["flags"]["threshold_deg"] == 0.22
 
@@ -125,19 +161,18 @@ class TestDeterminism:
         for path in sorted(a.glob("*.scrd")) + sorted(a.glob("*.lbls")):
             assert path.read_bytes() == (b / path.name).read_bytes()
 
-    def test_threaded_render_matches_serial(self, tmp_path):
-        gen = tmp_path / "gen"
-        run("generate", "--buildings", 6, "--grid", "3x3", "--poses", 4,
-            "--seed", 5, "--out", gen)
-        serial, threaded = tmp_path / "s", tmp_path / "t"
-        run("render", "--scene", gen / "scene.json", "--poses", gen / "poses.jsonl",
-            "--dims", "64x32", "--out", serial)
-        run("render", "--scene", gen / "scene.json", "--poses", gen / "poses.jsonl",
-            "--dims", "64x32", "--threads", 3, "--out", threaded)
-        for path in sorted(serial.glob("*")):
-            if path.suffix in (".scrd", ".lbls"):
-                assert path.read_bytes() == (threaded / path.name).read_bytes()
+    @pytest.mark.parametrize("stage", list(THREADED_STAGES))
+    def test_threads_write_the_serial_bytes(self, threads_pipeline, tmp_path, stage):
+        # each stage reads the serial run's inputs and splits its frames over 2 threads
+        serial, threaded = threads_pipeline / stage, tmp_path / stage
+        assert run(*THREADED_STAGES[stage](threads_pipeline, threaded), "--threads", 2) == 0
+        def data_files(directory):
+            return sorted(p.name for p in directory.iterdir() if not p.name.endswith("_meta.json"))
 
+        data = data_files(serial)
+        assert data and data_files(threaded) == data
+        for name in data:
+            assert (threaded / name).read_bytes() == (serial / name).read_bytes(), name
 
     def test_rerun_into_the_same_directories(self, tmp_path):
         # every stage rewrites its outputs in place: same bytes, no leftovers
@@ -250,6 +285,17 @@ class TestErrorHandling:
     def test_missing_scene_is_exit_2(self, tmp_path):
         assert run("render", "--scene", tmp_path / "nope.json",
                    "--poses", tmp_path / "nope.jsonl", "--out", tmp_path) == 2
+
+    @pytest.mark.parametrize("command", ["render", "evaluate"])
+    def test_seed_is_no_flag_of_unseeded_stages(self, tmp_path, command, capsys):
+        # neither stage draws a random number, so a seed would change nothing
+        inputs = {"render": ["--scene", "s.json", "--poses", "p.jsonl"],
+                  "evaluate": ["--estimates", "e.jsonl", "--gt-poses", "p.jsonl"]}[command]
+        with pytest.raises(SystemExit) as exc:
+            run(command, *inputs, "--seed", 1, "--out", tmp_path / "out")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_generate_needs_preset_or_buildings(self, tmp_path):
         assert run("generate", "--poses", 2, "--out", tmp_path) == 2

@@ -4,6 +4,7 @@ import re
 import tempfile
 
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 import numpy as np
 import pytest
 
@@ -11,8 +12,8 @@ from conftest import random_pose
 from panoloc import fileio
 from panoloc.fileio import load_poses_jsonl, save_poses_jsonl
 from panoloc.geometry import Pose, quaternion_to_rotation, relative_pose_errors
-from panoloc.images import LabelImage, SceneCoordinateImage
-from panoloc.instance_map import build_instance_map
+from panoloc.images import NUM_CLASS_LABELS, LabelImage, SceneCoordinateImage
+from panoloc.instance_map import InstanceMap, WhiteningTransform, build_instance_map
 from panoloc.scene_sim import (CityLayout, CityScene, Cuboid, generate_city, remove_buildings,
                                sample_trajectory)
 
@@ -52,6 +53,22 @@ class TestCoordFiles:
             fileio.load_coords(path)
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), height=st.integers(1, 6))
+    def test_save_load_save_property(self, data, height):
+        # every float32 value, NaN channels and whole NaN pixels included
+        coords = data.draw(arrays(np.float32, (height, 2 * height, 3),
+                                  elements=st.floats(width=32)))
+        img = SceneCoordinateImage(coords.astype(np.float64))
+        with tempfile.TemporaryDirectory() as tmp:
+            a, b = Path(tmp) / "a.scrd", Path(tmp) / "b.scrd"
+            fileio.save_coords(a, img)
+            back = fileio.load_coords(a)
+            assert np.array_equal(back.coords, img.coords, equal_nan=True)
+            fileio.save_coords(b, back)
+            assert a.read_bytes() == b.read_bytes()
+
+
 class TestLabelFiles:
     def test_round_trip(self, tmp_path, rng):
         labels = LabelImage(rng.choice([0, 1, 2, 1000, 2000], size=(8, 16)).astype(np.uint32))
@@ -65,6 +82,21 @@ class TestLabelFiles:
         path = tmp_path / "f.lbls"
         fileio.save_labels(path, img)
         assert path.read_bytes().startswith(b"LBLS1\n8 4\n")
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), height=st.integers(1, 6))
+    def test_save_load_save_property(self, data, height):
+        labels = data.draw(arrays(np.uint32, (height, 2 * height),
+                                  elements=st.integers(0, 2**32 - 1)))
+        img = LabelImage(labels)
+        with tempfile.TemporaryDirectory() as tmp:
+            a, b = Path(tmp) / "a.lbls", Path(tmp) / "b.lbls"
+            fileio.save_labels(a, img)
+            back = fileio.load_labels(a)
+            assert back.labels.dtype == np.uint32 and np.array_equal(back.labels, labels)
+            fileio.save_labels(b, back)
+            assert a.read_bytes() == b.read_bytes()
 
 
 IMAGE_FORMATS = [
@@ -171,6 +203,39 @@ class TestInstanceMapFile:
         fileio.save_instance_map(p1, imap)
         fileio.save_instance_map(p2, imap)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(records=st.lists(st.tuples(
+               st.integers(1000, 2**32 - 1),
+               st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3),
+               st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+               st.tuples(*[st.floats(1e-3, 1e3)] * 3),
+               st.integers(4, 10**9)), unique_by=lambda r: r[0], max_size=5),
+           extra_labels=st.integers(0, 100))
+    def test_save_load_save_property(self, records, extra_labels):
+        # W = rotation @ diag(scales) keeps every W far from singular
+        transforms = {}
+        for label, mean, quat, scales, count in records:
+            if np.linalg.norm(quat) < 0.1:
+                quat = [1.0, 0.0, 0.0, 0.0]
+            unwhiten_matrix = quaternion_to_rotation(np.array(quat)) * np.array(scales)
+            transforms[label] = WhiteningTransform(label, np.array(mean), unwhiten_matrix,
+                                                   np.linalg.inv(unwhiten_matrix), count)
+        imap = InstanceMap(transforms, NUM_CLASS_LABELS + len(transforms) + extra_labels)
+        with tempfile.TemporaryDirectory() as tmp:
+            a, b = Path(tmp) / "a.json", Path(tmp) / "b.json"
+            fileio.save_instance_map(a, imap)
+            back = fileio.load_instance_map(a)
+            assert back.label_count == imap.label_count and not back.skipped
+            assert back.instance_labels() == imap.instance_labels()
+            for label in imap.instance_labels():
+                want, got = imap.get(label), back.get(label)
+                assert got.label == want.label and got.point_count == want.point_count
+                for name in ("mean", "unwhiten_matrix", "whiten_matrix"):
+                    assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            fileio.save_instance_map(b, back)
+            assert a.read_bytes() == b.read_bytes()
 
 
 def _break_map(doc, how):
@@ -454,6 +519,22 @@ class TestPoseFile:
         save_poses_jsonl(p1, frames)
         save_poses_jsonl(p2, frames)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestEvaluationCsv:
+    def test_roc_layout_and_exact_values(self, tmp_path):
+        pct = [np.array([12.5, 1 / 3]), np.array([100.0, 0.0])]
+        fileio.save_roc_csv(tmp_path / "roc.csv", [0.1, 5.0], list(zip(("a", "b"), pct)))
+        assert (tmp_path / "roc.csv").read_text() == (
+            f"threshold_m,a,b\n0.1,12.5,100.0\n5,{1 / 3!r},0.0\n")
+
+    def test_curve_layout_and_exact_values(self, tmp_path):
+        values = np.array([0.1 + 0.2, 2.0, np.float32(0.3)])
+        fileio.save_curve_csv(tmp_path / "curve.csv", values)
+        lines = (tmp_path / "curve.csv").read_text().splitlines()
+        assert lines[0] == "rank,value"
+        assert [int(line.split(",")[0]) for line in lines[1:]] == [0, 1, 2]
+        assert np.array_equal([float(line.split(",")[1]) for line in lines[1:]], values)
 
 
 class TestFrameDirectories:

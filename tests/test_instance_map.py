@@ -200,5 +200,7 @@ class TestBuildInstanceMap:
         local = imap.whiten_image(coords, img_labels)
         covered = img_labels >= 1000
         assert np.isnan(local[~covered]).all()
-        back = imap.unwhiten_image(local, img_labels)
-        assert np.abs(back[covered] - coords[covered]).max() < 1e-9
+        for label in (1000, 1001):
+            sel = img_labels == label
+            back = unwhiten(imap.get(label), local[sel])
+            assert np.abs(back - coords[sel]).max() < 1e-9

@@ -14,8 +14,7 @@ from panoloc.instance_map import (InstanceMap, build_instance_map, fit_whitening
 from panoloc.pnp import Correspondences, angular_residuals
 from panoloc.scene_sim import (LARGE_CITY, SMALL_CITY, CityScene, Cuboid, NoiseModel,
                                PlacementError, _intersect_boxes, _pixel_windows,
-                               approximate_city, cuboid_approximation,
-                               cuboids_overlap, generate_city, project_pointcloud,
+                               approximate_city, cuboid_approximation, generate_city,
                                raycast_render, remove_buildings, sample_trajectory,
                                simulate_predictions)
 
@@ -24,6 +23,39 @@ DIMS = (128, 64)
 
 def overhead_pose(height=10.0, x=0.0, z=0.0):
     return Pose(np.eye(3), -np.array([x, height, z]))
+
+
+def to_box_frame(box, points):
+    """Points (..., 3) in the frame of ``box``: Ry(yaw)^T @ (point - center)."""
+    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    return (np.asarray(points) - box.center) @ np.array([[c, 0.0, s], [0.0, 1.0, 0.0],
+                                                          [-s, 0.0, c]])
+
+
+def box_contains(box, point) -> bool:
+    return bool(np.all(np.abs(to_box_frame(box, point)) <= box.half_extents))
+
+
+def surface_distance(box, point) -> float:
+    """Unsigned distance from a point to the surface of ``box``."""
+    d = np.abs(to_box_frame(box, point)) - box.half_extents
+    outside = np.linalg.norm(np.maximum(d, 0.0))
+    return float(outside) if outside > 0.0 else -float(np.max(d))
+
+
+def cuboids_overlap(a, b) -> bool:
+    """Separating-axis overlap test for two yawed, ground-aligned boxes.
+
+    The candidate axes are y and each box's own x and z, so each box's
+    corners are tested against the other box in that box's frame. Boxes
+    that only touch do not overlap.
+    """
+    for box, other in ((a, b), (b, a)):
+        local = to_box_frame(box, other.corners())
+        if np.any((local.min(axis=0) >= box.half_extents)
+                  | (local.max(axis=0) <= -box.half_extents)):
+            return False
+    return True
 
 
 def single_box_scene(center=(0.0, 1.0, 5.0), half=(0.5, 1.0, 0.5), yaw=0.0):
@@ -76,7 +108,7 @@ class TestSampleTrajectory:
         for _, pose in sample_trajectory(scene, 30, seed=2):
             center = pose.camera_center
             assert center[1] > 0.0
-            assert not any(b.contains(center) for b in scene.buildings)
+            assert not any(box_contains(b, center) for b in scene.buildings)
 
     def test_deterministic(self):
         scene = generate_city(10, (4, 4), seed=1)
@@ -132,7 +164,7 @@ class TestRaycast:
             if label == ROAD_LABEL:
                 dist = abs(point[1])
             else:
-                dist = boxes[label].surface_distance(point)
+                dist = surface_distance(boxes[label], point)
             assert dist < 1e-7
 
     def test_pose_consistency(self):
@@ -277,7 +309,7 @@ class TestCulledRaycast:
         assume(np.linalg.norm(quat) > 0.1)
         scene = generate_city(12, (4, 4), seed=seed)
         center = np.array(position)
-        assume(not any(b.contains(center) for b in scene.buildings))
+        assume(not any(box_contains(b, center) for b in scene.buildings))
         rot = quaternion_to_rotation(np.array(quat))
         assert_culled_matches_brute_force(scene, Pose(rot, -rot.T @ center),
                                           (2 * height, height))
@@ -293,7 +325,7 @@ class TestCulledRaycast:
         assume(np.linalg.norm(quat) > 0.1)
         box = Cuboid(np.array([0.0, half[1], 0.0]), np.array(half), yaw, 1000)
         camera = np.array(position)
-        assume(not box.contains(camera))
+        assume(not box_contains(box, camera))
         rot = quaternion_to_rotation(np.array(quat))
         width = 2 * height
         scene = CityScene.from_cuboids((box,), 1, 0)
@@ -308,90 +340,6 @@ class TestCulledRaycast:
         rows, cols = np.nonzero(in_cone)
         assert np.all((rows >= row0) & (rows < row0 + nrows))
         assert np.all((cols - col0) % width < ncols)
-
-
-class TestProjectPointcloud:
-    def test_instance_rule_prefers_reference_label(self):
-        # two points on one ray: near point labelled A, far labelled B;
-        # the reference label image says B, so the farther point wins
-        from panoloc.images import LabelImage
-        pose = Pose.identity()
-        width, height = 4, 2
-        bearing = pixel_to_bearing(1.0, 0.0, width, height)
-        points = np.vstack([bearing * 2.0, bearing * 5.0])
-        labels = np.array([1000, 1001], dtype=np.uint32)
-        ref = np.zeros((height, width), dtype=np.uint32)
-        ref[0, 1] = 1001
-        coords, out_labels = project_pointcloud(points, labels, pose,
-                                                (width, height),
-                                                reference_labels=LabelImage(ref))
-        assert out_labels.labels[0, 1] == 1001
-        assert np.allclose(coords.coords[0, 1], bearing * 5.0)
-
-    def test_without_reference_keeps_nearest(self):
-        pose = Pose.identity()
-        width, height = 4, 2
-        bearing = pixel_to_bearing(1.0, 0.0, width, height)
-        points = np.vstack([bearing * 2.0, bearing * 5.0])
-        labels = np.array([1000, 1001], dtype=np.uint32)
-        coords, out_labels = project_pointcloud(points, labels, pose, (width, height))
-        assert out_labels.labels[0, 1] == 1000
-        assert np.allclose(coords.coords[0, 1], bearing * 2.0)
-
-    def test_one_point_per_pixel_identity(self, rng):
-        pose = Pose.identity()
-        width, height = 16, 8
-        rows, cols = np.meshgrid(np.arange(height), np.arange(width), indexing="ij")
-        bearings = pixel_to_bearing(cols.astype(float).ravel(),
-                                    rows.astype(float).ravel(), width, height)
-        depths = rng.uniform(2.0, 30.0, (bearings.shape[0], 1))
-        points = bearings * depths
-        labels = (1000 + np.arange(points.shape[0])).astype(np.uint32)
-        coords, out_labels = project_pointcloud(points, labels, pose, (width, height))
-        assert np.array_equal(out_labels.labels.ravel(), labels)
-        assert np.abs(coords.coords.reshape(-1, 3) - points).max() < 1e-12
-
-    def test_empty_pixels_are_void(self):
-        pose = Pose.identity()
-        point = np.array([[0.0, 0.0, 5.0]])
-        coords, labels = project_pointcloud(point, np.array([1000]), pose, (8, 4))
-        filled = labels.labels != VOID_LABEL
-        assert filled.sum() == 1
-        assert np.isnan(coords.coords[~filled]).all()
-
-    def test_matches_raycast_on_dense_surface_cloud(self, rng):
-        # sample the box surface densely, project, compare with ray casting
-        scene = single_box_scene(center=(0.0, 2.0, 8.0), half=(2.0, 2.0, 2.0), yaw=0.3)
-        box = scene.buildings[0]
-        step = 0.05
-        faces = []
-        grid = np.arange(-1.0 + step / 2, 1.0, step)
-        for axis in range(3):
-            for sign in (-1.0, 1.0):
-                uu, vv = np.meshgrid(grid, grid)
-                local = np.zeros((uu.size, 3))
-                other = [a for a in range(3) if a != axis]
-                local[:, axis] = sign
-                local[:, other[0]] = uu.ravel()
-                local[:, other[1]] = vv.ravel()
-                faces.append(local * box.half_extents)
-        local = np.concatenate(faces)
-        c, s = math.cos(box.yaw), math.sin(box.yaw)
-        world = np.empty_like(local)
-        world[:, 0] = c * local[:, 0] + s * local[:, 2] + box.center[0]
-        world[:, 1] = local[:, 1] + box.center[1]
-        world[:, 2] = -s * local[:, 0] + c * local[:, 2] + box.center[2]
-        labels = np.full(world.shape[0], 1000, dtype=np.uint32)
-
-        pose = Pose(np.eye(3), -np.array([0.0, 1.5, 0.0]))
-        proj_coords, proj_labels = project_pointcloud(world, labels, pose, (256, 128))
-        ray_coords, ray_labels = raycast_render(scene, pose, (256, 128))
-
-        both = (proj_labels.labels == 1000) & (ray_labels.labels == 1000)
-        assert both.sum() > 200
-        delta = np.linalg.norm(proj_coords.coords[both] - ray_coords.coords[both], axis=1)
-        spacing = step * float(box.half_extents.max())
-        assert np.mean(delta < 2.0 * spacing) > 0.95
 
 
 class TestSimulatePredictions:
