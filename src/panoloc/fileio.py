@@ -121,11 +121,12 @@ def save_json(path, doc, indent=1, **options) -> None:
         fh.write("\n")
 
 
-def _read_image(path, magic, kind, channels):
-    """(width, height, payload) of a SCRD/LBLS file, strictly checked.
+def _read_image(path, magic, kind, dtype, channels):
+    """The payload of a SCRD/LBLS file, strictly checked: a (H, W, channels)
+    array, or (H, W) when ``channels`` is None.
 
     The header is "W H", or "W H C" when ``channels`` is given; every pixel
-    holds ``channels`` (or one) 4-byte values.
+    holds ``channels`` (or one) 4-byte values of ``dtype``.
     """
     with open(path, "rb") as fh:
         if fh.read(len(magic)) != magic:
@@ -143,13 +144,16 @@ def _read_image(path, magic, kind, channels):
         if height < 1 or width != 2 * height:
             raise ValueError(f"{path}: dims must be positive with W = 2H, got {width}x{height}")
         size = width * height * (channels or 1) * 4
-        payload = fh.read(size)
-        if len(payload) < size:
-            raise ValueError(f"{path}: truncated payload, {len(payload)} of {size} bytes")
-        if fh.read(1):
-            extra = os.fstat(fh.fileno()).st_size - fh.tell() + 1
-            raise ValueError(f"{path}: {extra} trailing bytes after the payload")
-    return width, height, payload
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if left < size:
+            raise ValueError(f"{path}: truncated payload, {left} of {size} bytes")
+        if left > size:
+            raise ValueError(f"{path}: {left - size} trailing bytes after the payload")
+        # read into the array itself: no bytes object to copy from
+        payload = np.empty((height, width, channels or 1), dtype=dtype)
+        if fh.readinto(payload) != size:
+            raise ValueError(f"{path}: changed while it was read")
+    return payload if channels else payload[..., 0]
 
 
 def save_coords(path, image: SceneCoordinateImage) -> None:
@@ -157,13 +161,12 @@ def save_coords(path, image: SceneCoordinateImage) -> None:
     with atomic_open(path, "wb") as fh:
         fh.write(_COORD_MAGIC)
         fh.write(f"{image.width} {image.height} 3\n".encode("ascii"))
-        fh.write(data.tobytes())
+        fh.write(data.data)
 
 
 def load_coords(path) -> SceneCoordinateImage:
-    width, height, raw = _read_image(path, _COORD_MAGIC, "scene-coordinate", 3)
-    arr = np.frombuffer(raw, dtype="<f4").reshape(height, width, 3)
-    return SceneCoordinateImage(arr.astype(np.float64))
+    return SceneCoordinateImage(
+        _read_image(path, _COORD_MAGIC, "scene-coordinate", "<f4", 3).astype(np.float64))
 
 
 def save_labels(path, image: LabelImage) -> None:
@@ -171,13 +174,11 @@ def save_labels(path, image: LabelImage) -> None:
     with atomic_open(path, "wb") as fh:
         fh.write(_LABEL_MAGIC)
         fh.write(f"{image.width} {image.height}\n".encode("ascii"))
-        fh.write(data.tobytes())
+        fh.write(data.data)
 
 
 def load_labels(path) -> LabelImage:
-    width, height, raw = _read_image(path, _LABEL_MAGIC, "label", None)
-    arr = np.frombuffer(raw, dtype="<u4").reshape(height, width)
-    return LabelImage(arr.copy())
+    return LabelImage(_read_image(path, _LABEL_MAGIC, "label", "<u4", None))
 
 
 def list_frames(frames_dir) -> list:

@@ -444,6 +444,24 @@ class TestFitMapInputs:
         assert run("fit-map", "--cloud", cloud, "--out", tmp_path / "map.json") == 2
         assert f"{cloud}, line 39:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--frames", "."), ("--seed", 3),
+                                             ("--max-points-per-frame", 10)])
+    def test_cloud_rejects_flags_of_frames(self, tmp_path, rng, capsys, flag, value):
+        # these flags act only on --frames; with --cloud they would change nothing
+        cloud = tmp_path / "cloud.ply"
+        fileio.save_ply(cloud, rng.normal(size=(30, 3)), np.full(30, 1000, dtype=np.uint32))
+        out = tmp_path / "out" / "map.json"
+        assert run("fit-map", "--cloud", cloud, flag, value, "--out", out) == 2
+        assert f"{flag} acts only on --frames" in capsys.readouterr().err
+        assert not out.parent.exists()
+
+    def test_cloud_accepts_threads(self, tmp_path, rng):
+        cloud = tmp_path / "cloud.ply"
+        fileio.save_ply(cloud, rng.normal(size=(30, 3)), np.full(30, 1000, dtype=np.uint32))
+        out = tmp_path / "map.json"
+        assert run("fit-map", "--cloud", cloud, "--threads", 2, "--out", out) == 0
+        assert fileio.load_instance_map(out).instance_labels() == [1000]
+
     def test_permuted_point_order_gives_identical_map(self, tmp_path, rng):
         pts = rng.normal(size=(60, 3)) * 4.0
         labels = np.full(60, 1000, dtype=np.uint32)

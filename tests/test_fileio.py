@@ -119,6 +119,15 @@ class TestStrictImageReaders:
         with pytest.raises(ValueError, match=f"short{suffix}.*truncated"):
             load(path)
 
+    def test_header_claiming_a_huge_image_is_truncated(self, tmp_path, save, load, suffix,
+                                                      make, magic, tail):
+        # 2e12 pixels: the reader must compare with the file size before it
+        # allocates the payload
+        path = tmp_path / f"huge{suffix}"
+        path.write_bytes(magic + b"2000000 1000000" + tail + b"\n" + bytes(64))
+        with pytest.raises(ValueError, match=f"huge{suffix}.*truncated payload, 64 of"):
+            load(path)
+
     def test_trailing_bytes(self, tmp_path, save, load, suffix, make, magic, tail):
         path = tmp_path / f"long{suffix}"
         save(path, make())

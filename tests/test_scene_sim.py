@@ -292,6 +292,26 @@ class TestCulledRaycast:
         _, labels = raycast_render(scene, pose, (64, 32))
         assert set(np.unique(labels.labels)) >= {1000} and 1001 not in labels.labels
 
+    @pytest.mark.parametrize("batch", [None, 1])
+    def test_shared_face_keeps_lower_index_when_nearer_box_runs_first(self, monkeypatch,
+                                                                       batch):
+        # both front faces lie on z = 5; box 1 reaches nearer the camera, so it
+        # runs first (in its own batch when the batch holds fewer pairs than a
+        # window), and the equal t on the shared pixels must still go to box 0
+        if batch is not None:
+            monkeypatch.setattr(scene_sim, "_PAIR_BATCH", batch)
+        boxes = (Cuboid(np.array([0.0, 2.0, 6.0]), np.array([1.0, 2.0, 1.0]), 0.0, 1000),
+                 Cuboid(np.array([0.5, 2.0, 5.5]), np.array([2.0, 2.0, 0.5]), 0.0, 1001))
+        scene = CityScene.from_cuboids(boxes, 1, 0)
+        pose = heading_pose(np.array([2.0, 1.0, 0.0]), 0.0)
+        assert surface_distance(boxes[1], pose.camera_center) < surface_distance(
+            boxes[0], pose.camera_center)
+        assert_culled_matches_brute_force(scene, pose, (64, 32))
+        coords, labels = raycast_render(scene, pose, (64, 32))
+        shared = (labels.labels >= 1000) & (np.abs(coords.coords[..., 0]) <= 1.0)
+        assert shared.sum() > 10 and (labels.labels[shared] == 1000).all()
+        assert (labels.labels == 1001).any()
+
     def test_candidate_pairs_follow_visible_buildings(self):
         scene = generate_city(LARGE_CITY["n_buildings"], LARGE_CITY["grid_dims"], seed=7)
         width, height = 512, 256
@@ -305,14 +325,19 @@ class TestCulledRaycast:
            position=st.tuples(st.floats(-40.0, 40.0), st.floats(-3.0, 35.0),
                               st.floats(-40.0, 40.0)),
            height=st.integers(2, 40), seed=st.integers(0, 50))
-    def test_random_cameras_match_brute_force(self, quat, position, height, seed):
+    @pytest.mark.parametrize("batch", [None, 64])
+    def test_random_cameras_match_brute_force(self, batch, quat, position, height, seed):
+        # a batch of 64 pairs runs many distance-ordered batches per frame
         assume(np.linalg.norm(quat) > 0.1)
         scene = generate_city(12, (4, 4), seed=seed)
         center = np.array(position)
         assume(not any(box_contains(b, center) for b in scene.buildings))
         rot = quaternion_to_rotation(np.array(quat))
-        assert_culled_matches_brute_force(scene, Pose(rot, -rot.T @ center),
-                                          (2 * height, height))
+        with pytest.MonkeyPatch.context() as patch:
+            if batch is not None:
+                patch.setattr(scene_sim, "_PAIR_BATCH", batch)
+            assert_culled_matches_brute_force(scene, Pose(rot, -rot.T @ center),
+                                              (2 * height, height))
 
 
     @settings(max_examples=100, deadline=None)
