@@ -10,17 +10,21 @@ timed through the public ``ransac_pnp`` on 500 points and on 5000 points
 (the localize cap), both with 1000 iterations and the default inlier
 threshold, and in the shape of the pipeline benchmark's noisy-sparse
 workload: 500 points, 30% outliers, 4000 iterations, a 0.6 degree
-threshold. The localize layer rows split ``ransac_pnp`` at 5000 points
-and 1000 iterations into its steps, each timed on the previous step's
-output: the sample draw, the P3P solves, the prefilter bound pass, the
-exact pass and the three refits. The scene rows time ``save_scene``,
-``load_scene`` and one 512x256 ``raycast_render`` on the large preset
-(827 buildings) and on 52,000 buildings of a 230x230 grid, where render
-time should follow what the camera sees, not the building count. The
-prediction rows time ``simulate_predictions`` on one 512x256 small-preset
-frame with the noise of the pipeline benchmark's small-city workload
-(sigma 0.33 m, 2% outliers, 2% label flips) and of its noisy-sparse one
-(30% outliers, 10% flips), and ``SceneCoordinateImage.mask`` on that frame.
+threshold. The P3P row times the minimal solves of that noisy-sparse run
+alone, a chunk of ``_HYPOTHESIS_CHUNK`` samples at a time, and counts the
+candidate slots that reach the Gauss-Newton refinement against the four
+slots of every sample. The localize layer rows split ``ransac_pnp`` at
+5000 points and 1000 iterations into its steps, each timed on the
+previous step's output: the sample draw, the P3P solves, the prefilter
+bound pass, the exact pass and the three refits. The scene rows time
+``save_scene``, ``load_scene`` and one 512x256 ``raycast_render`` on the
+large preset (827 buildings) and on 52,000 buildings of a 230x230 grid,
+where render time should follow what the camera sees, not the building
+count. The prediction rows time ``simulate_predictions`` on one 512x256
+small-preset frame with the noise of the pipeline benchmark's small-city
+workload (sigma 0.33 m, 2% outliers, 2% label flips) and of its
+noisy-sparse one (30% outliers, 10% flips), and
+``SceneCoordinateImage.mask`` on that frame.
 
 Usage:
     python benchmarks/bench_kernels.py [--repeats 5] [--rays 131072] ...
@@ -30,6 +34,7 @@ import argparse
 from pathlib import Path
 import tempfile
 import time
+from unittest import mock
 
 import numpy as np
 
@@ -131,8 +136,34 @@ def run_benchmarks(args):
         ("ransac 5000 pts / 1000 it", best_of(
             lambda: ransac_pnp(data["cap_corrs"], RansacConfig(seed=1)), repeats)),
     ]
-    return (rows + localize_rows(data["cap_corrs"], args.repeats) + scene_rows(args.repeats)
+    return (rows + [p3p_row(data["sparse_corrs"], args.repeats)]
+            + localize_rows(data["cap_corrs"], args.repeats) + scene_rows(args.repeats)
             + prediction_rows(args.repeats))
+
+
+def p3p_row(corrs, repeats):
+    """The P3P solves of ransac_pnp in the noisy-sparse shape (500 points,
+    30% outliers, 4000 iterations), named with the slots refined."""
+    cfg = RansacConfig(iterations=4000, inlier_threshold_deg=0.6, seed=1)
+    pts, brs = corrs.world_points, corrs.bearings
+    samples = pnp._draw_samples(cfg.seed, cfg.iterations, len(corrs), cfg.min_sample)
+    chunk = pnp._HYPOTHESIS_CHUNK
+
+    def solve():
+        for lo in range(0, cfg.iterations, chunk):
+            pnp._solve_p3p_batch(pts[samples[lo:lo + chunk]], brs[samples[lo:lo + chunk]])
+
+    refined = []
+    real = pnp._refine_depths
+
+    def count(depths, *args):
+        refined.append(depths.shape[1])
+        return real(depths, *args)
+
+    with mock.patch.object(pnp, "_refine_depths", count):
+        solve()
+    return (f"p3p 4000 it, {sum(refined)}/{4 * cfg.iterations} slots refined",
+            best_of(solve, repeats))
 
 
 def localize_rows(corrs, repeats):
@@ -222,9 +253,9 @@ def main():
     parser.add_argument("--solves", type=int, default=200)
     args = parser.parse_args()
 
-    print(f"{'kernel':<36} {'time (s)':>10}")
+    print(f"{'kernel':<40} {'time (s)':>10}")
     for name, seconds in run_benchmarks(args):
-        print(f"{name:<36} {seconds:>10.5f}")
+        print(f"{name:<40} {seconds:>10.5f}")
 
 
 if __name__ == "__main__":

@@ -6,32 +6,35 @@ works on bearing vectors directly. Samples come from one Philox stream
 keyed by the seed. The minimal solves run in numpy on stacked samples, a
 fixed-size chunk of hypotheses at a time: each sample solves on its first
 three points and its other points pick one of the up to four candidate
-poses. Scoring takes two passes. The bound pass runs on each chunk, a
-bounded block of hypotheses at a time (``_SCORE_PAIRS``): with the points
-centred on their mean and lifted to q (x) b, one GEMM gives c = g . b for
-every (hypothesis, point) pair and a second gives kappa |g|^2, where g is
-the point in the camera frame and kappa = cos^2 of a slightly widened
-threshold angle. A pair survives when c |c| >= kappa |g|^2 - sigma, where
-sigma bounds the rounding of both GEMMs and of the exact test. An inlier
-has c >= cos(angle) |g| |b| > 0, so the prefilter never drops one
+poses. Once the depths are known, the (sample, candidate) slots that may
+hold a root, about a fifth of them on noisy data, are gathered into flat
+arrays; the refinement, the checks, the poses and the pick run on those
+alone, each 3-vector as three component planes. Scoring takes two
+passes. The bound pass runs on each chunk, a bounded block of hypotheses
+at a time (``_SCORE_PAIRS``): with the points centred on their mean and
+lifted to q (x) b, one GEMM gives c = g . b for every (hypothesis, point)
+pair and a second gives kappa |g|^2, where g is the point in the camera
+frame and kappa = cos^2 of a slightly widened threshold angle. A pair
+survives when c |c| >= kappa |g|^2 - sigma, where sigma bounds the
+rounding of both GEMMs and of the exact test. An inlier has
+c >= cos(angle) |g| |b| > 0, so the prefilter never drops one
 (_prefilter_bounds derives the bound), and a hypothesis's survivor count
 bounds its inlier count from above. The exact pass then visits the
 hypotheses by decreasing bound and takes the exact arctan2 residual of
 every point for each, until the next bound is below the most inliers
 found: no hypothesis after it can win, as in Capel's bail-out test (BMVC
-2005) but exact. ``residual < threshold`` decides every inlier. Chunk
-boundaries depend only on the iteration count, every hypothesis's
-arithmetic is independent of its neighbours and the exact pass runs after
-all chunks, so results are reproducible bit for bit whether chunks run
-serially or across threads. The winner is refit, as in LO-RANSAC, on the
-points within a threshold shrinking to the real one, by EPnP (Lepetit et
-al., IJCV 2009) generalized to bearing vectors, each bearing giving two
-linear constraints in the plane perpendicular to it. That solver is plain
-numpy, with no loop over points, and serves both ``epnp_bearing`` and the
-refit.
+2005) but exact. ``residual < threshold`` decides every inlier. Every
+hypothesis's arithmetic is independent of its neighbours, the bounds
+hold whatever the block shapes, and the exact pass runs after all
+chunks, so results are the same bit for bit whatever the chunk size. The
+winner is refit, as in LO-RANSAC, on the points within a threshold
+shrinking to the real one, by EPnP (Lepetit et al., IJCV 2009)
+generalized to bearing vectors, each bearing giving two linear
+constraints in the plane perpendicular to it. That solver is plain
+numpy, with no loop over points, and serves both ``epnp_bearing`` and
+the refit.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 import math
 
@@ -55,10 +58,14 @@ _CENTER_EPS = 1e-12
 # Relative eigenvalue-of-scatter thresholds (squared singular value ratios).
 _PLANAR_TOL = 1e-14
 _COLLINEAR_TOL = 1e-14
-# RANSAC hypotheses solved and scored per batch: large, as P3P costs numpy
-# call overhead more than arithmetic, yet with solver temporaries of ~1.3 MB.
-# Fixed, not per thread, so chunk boundaries do not depend on the threads.
-_HYPOTHESIS_CHUNK = 512
+# P3P's first three points are also collinear when |d12 x d13| is within
+# this many u max|x| (|d12| + |d13|), the size coordinate rounding gives it.
+_COLLINEAR_ROUNDING = 64
+# RANSAC hypotheses solved and bounded per batch: large, as P3P costs numpy
+# call overhead more than arithmetic, yet small enough that the solver's
+# temporaries stay near 1 MB. At the default 1000 iterations one chunk
+# holds them all; 2048 and 4096 raise the peak memory for little speed.
+_HYPOTHESIS_CHUNK = 1024
 # P3P: Newton steps on the cubic's root, Gauss-Newton steps on the depths,
 # and the largest relative error of the point distances they may leave.
 _CUBIC_NEWTON_STEPS = 16
@@ -152,16 +159,31 @@ def _residuals(rot, t, pts, brs):
     ``rot`` (H, 3, 3) and ``t`` (H, 3) the result is (H, n); ``pts`` and
     ``brs`` are (n, 3), shared by all poses, or (H, n, 3).
     """
-    g = np.matmul(pts, rot) + t[..., None, :]
-    gx, gy, gz = g[..., 0], g[..., 1], g[..., 2]
-    bx, by, bz = brs[..., 0], brs[..., 1], brs[..., 2]
-    cx = gy * bz - gz * by
-    cy = gz * bx - gx * bz
-    cz = gx * by - gy * bx
-    sin_part = np.sqrt(cx * cx + cy * cy + cz * cz)
-    cos_part = gx * bx + gy * by + gz * bz
-    out = np.degrees(np.arctan2(sin_part, cos_part))
-    out[np.sqrt(gx * gx + gy * gy + gz * gz) < _CENTER_EPS] = 180.0
+    # g = pts R + t as contiguous component planes, worked on in place
+    g = np.moveaxis(np.matmul(pts, rot), -1, 0).copy()
+    g += np.moveaxis(t, -1, 0)[..., None]
+    gx, gy, gz = g
+    bx, by, bz = np.moveaxis(brs, -1, 0).copy()
+    tmp = np.empty_like(gx)
+    cx = np.multiply(gy, bz)
+    cx -= np.multiply(gz, by, out=tmp)
+    cy = np.multiply(gz, bx)
+    cy -= np.multiply(gx, bz, out=tmp)
+    cz = np.multiply(gx, by)
+    cz -= np.multiply(gy, bx, out=tmp)
+    # |g x b| into cx, g . b into cy, each summed in component order
+    cx *= cx
+    cx += np.multiply(cy, cy, out=cy)
+    cx += np.multiply(cz, cz, out=cz)
+    np.sqrt(cx, out=cx)
+    np.multiply(gx, bx, out=cy)
+    cy += np.multiply(gy, by, out=tmp)
+    cy += np.multiply(gz, bz, out=tmp)
+    out = np.degrees(np.arctan2(cx, cy, out=cx), out=cx)
+    gx *= gx
+    gx += np.multiply(gy, gy, out=gy)
+    gx += np.multiply(gz, gz, out=gz)
+    out[np.sqrt(gx, out=gx) < _CENTER_EPS] = 180.0
     return out
 
 
@@ -280,13 +302,25 @@ def _solve_epnp(pts, brs):
 
 
 def _dot(a, b):
-    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+    """a . b of component-major 3-vectors: a[0], a[1], a[2] are the planes."""
+    ab = a * b
+    return ab[0] + ab[1] + ab[2]
 
 
 def _cross(a, b):
-    return np.stack([a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
-                     a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2],
-                     a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]], axis=-1)
+    """a x b of component-major 3-vectors stacked on the first axis."""
+    return a[[1, 2, 0]] * b[[2, 0, 1]] - a[[2, 0, 1]] * b[[1, 2, 0]]
+
+
+def _frame(first, normal):
+    """The orthonormal frame (first, normal x first, normal) of
+    component-major 3-vectors, as one (3, 3, ...) array. ``normal`` is
+    projected off ``first`` again: a cross product of nearly parallel
+    vectors is off-normal by about u / sin(angle)."""
+    first = first / np.sqrt(_dot(first, first))
+    normal = normal - _dot(normal, first) * first
+    normal = normal / np.sqrt(_dot(normal, normal))
+    return np.stack([first, _cross(normal, first), normal])
 
 
 def _quadratic_roots(b, c):
@@ -318,24 +352,72 @@ def _cubic_root(b, c, d):
     return r
 
 
+def _refine_depths(depths, sides, coefs):
+    """Gauss-Newton on P3P's three distance equations
+    l_i^2 + l_j^2 + b_ij l_i l_j = a_ij for the pairs 12, 13 and 23, given
+    the depths (l1, l2, l3), squared world distances (a12, a13, a23) and
+    bearing terms (b12, b13, b23) of each slot, as rows of (3, K) arrays.
+    A step that raises the residual is not taken. Returns the depths and
+    whether each slot meets every distance within ``_P3P_DISTANCE_TOL``:
+    depths that miss them come from roots that hold no solution.
+    """
+    l1, l2, l3 = depths
+    a12, a13, a23 = sides
+    b12, b13, b23 = coefs
+
+    def residual(l1, l2, l3):
+        return (l1 * l1 + l2 * l2 + b12 * l1 * l2 - a12,
+                l1 * l1 + l3 * l3 + b13 * l1 * l3 - a13,
+                l2 * l2 + l3 * l3 + b23 * l2 * l3 - a23)
+
+    r1, r2, r3 = residual(l1, l2, l3)
+    for _ in range(_P3P_REFINE_STEPS):
+        j11, j12 = 2.0 * l1 + b12 * l2, 2.0 * l2 + b12 * l1
+        j21, j23 = 2.0 * l1 + b13 * l3, 2.0 * l3 + b13 * l1
+        j32, j33 = 2.0 * l2 + b23 * l3, 2.0 * l3 + b23 * l2
+        det = 1.0 / (-j11 * j23 * j32 - j12 * j21 * j33)
+        n1 = l1 - det * (-j23 * j32 * r1 - j12 * j33 * r2 + j12 * j23 * r3)
+        n2 = l2 - det * (-j21 * j33 * r1 + j11 * j33 * r2 - j11 * j23 * r3)
+        n3 = l3 - det * (j21 * j32 * r1 - j11 * j32 * r2 - j12 * j21 * r3)
+        q1, q2, q3 = residual(n1, n2, n3)
+        take = np.abs(q1) + np.abs(q2) + np.abs(q3) <= np.abs(r1) + np.abs(r2) + np.abs(r3)
+        l1, l2, l3 = np.where(take, n1, l1), np.where(take, n2, l2), np.where(take, n3, l3)
+        r1, r2, r3 = np.where(take, q1, r1), np.where(take, q2, r2), np.where(take, q3, r3)
+    root = ((np.abs(r1) <= _P3P_DISTANCE_TOL * a12) & (np.abs(r2) <= _P3P_DISTANCE_TOL * a13)
+            & (np.abs(r3) <= _P3P_DISTANCE_TOL * a23))
+    return (l1, l2, l3), root
+
+
 @np.errstate(all="ignore")
-def _p3p_candidates(pts, brs):
+def _p3p_slots(pts, brs):
     """Lambda Twist P3P (Persson & Nordberg, ECCV 2018) on stacked samples.
 
-    Solves on the first three points of each (H, k >= 3, 3) sample. Returns
-    (valid, R, T) of shapes (H, 4), (H, 4, 3, 3) and (H, 4, 3): up to four
-    poses per sample, R camera-to-world. Slots that hold no solution are
-    not ``valid`` and may hold NaN. Each sample's arithmetic is elementwise,
-    so its result does not depend on the other samples in the stack.
+    Solves on the first three points of each (H, k >= 3, 3) sample. A
+    sample has four slots, one per candidate pose; slot j of sample h is
+    4 h + j. Returns (slots, R, T): the slots that hold a pose, increasing,
+    and their camera-to-world rotations R[j, i] (3, 3, K) and offsets T[i]
+    (3, K) as component planes over the K slots. The cubic and the depths
+    are solved for every sample; the refinement, the checks and the pose
+    only for the slots that may hold a root. Each slot's arithmetic is
+    elementwise, so its result does not depend on the other samples in
+    the stack.
     """
-    x1, x2, x3 = pts[:, 0], pts[:, 1], pts[:, 2]
-    y1, y2, y3 = brs[:, 0], brs[:, 1], brs[:, 2]
+    # the first three points and bearings, each component-major (3, H)
+    x1, x2, x3 = np.moveaxis(pts[:, :3], 0, 2)
+    y1, y2, y3 = np.moveaxis(brs[:, :3], 0, 2)
     d12, d13, d23 = x1 - x2, x1 - x3, x2 - x3
     a12, a13, a23 = _dot(d12, d12), _dot(d13, d13), _dot(d23, d23)
     c12, c13, c23 = _dot(y1, y2), _dot(y1, y3), _dot(y2, y3)
     b12, b13, b23 = -2.0 * c12, -2.0 * c13, -2.0 * c23
     blob = c12 * c23 * c13 - 1.0
     s12, s13, s23 = 1.0 - c12 * c12, 1.0 - c13 * c13, 1.0 - c23 * c23
+    # (near-)collinear first points: a normal n = d12 x d13 that is small
+    # against the sides, or that coordinate rounding alone could make
+    n = _cross(d12, d13)
+    nn = _dot(n, n)
+    reach = np.abs(np.stack([x1, x2, x3])).reshape(9, -1).max(axis=0)
+    rounding = _COLLINEAR_ROUNDING * _U * reach * (np.sqrt(a12) + np.sqrt(a13))
+    solid = (nn > _COLLINEAR_TOL * a12 * a13) & (np.sqrt(nn) > rounding)
 
     # gamma making D1 - gamma D2 singular, from det(D1 - gamma D2) = 0
     p3 = a13 * (a23 * s13 - a13 * s23)
@@ -380,55 +462,40 @@ def _p3p_candidates(pts, brs):
     l3 = tau * l2
     l1 = w0 * l2 + w1 * l3
     valid = (np.repeat(qb * qb - 4.0 * qc >= 0.0, 2, axis=1) & (tau > 0.0) & (den > 0.0)
-             & (l1 >= 0.0))
+             & (l1 >= 0.0) & solid[col])
 
-    # Gauss-Newton on the three distance equations; a step that raises the
-    # residual is not taken
-    def residual(l1, l2, l3):
-        return (l1 * l1 + l2 * l2 + b12 * l1 * l2 - a12,
-                l1 * l1 + l3 * l3 + b13 * l1 * l3 - a13,
-                l2 * l2 + l3 * l3 + b23 * l2 * l3 - a23)
+    # the rest runs on the slots that may hold a root, sample h = slot >> 2
+    slots = np.flatnonzero(valid)
+    h = slots >> 2
+    depths = np.stack([l1, l2, l3]).reshape(3, -1)[:, slots]
+    terms = np.stack([a12, a13, a23, b12, b13, b23])[:, h, 0]
+    (l1, l2, l3), root = _refine_depths(depths, terms[:3], terms[3:])
+    slots, h, l1, l2, l3 = slots[root], h[root], l1[root], l2[root], l3[root]
 
-    r1, r2, r3 = residual(l1, l2, l3)
-    for _ in range(_P3P_REFINE_STEPS):
-        j11, j12 = 2.0 * l1 + b12 * l2, 2.0 * l2 + b12 * l1
-        j21, j23 = 2.0 * l1 + b13 * l3, 2.0 * l3 + b13 * l1
-        j32, j33 = 2.0 * l2 + b23 * l3, 2.0 * l3 + b23 * l2
-        det = 1.0 / (-j11 * j23 * j32 - j12 * j21 * j33)
-        n1 = l1 - det * (-j23 * j32 * r1 - j12 * j33 * r2 + j12 * j23 * r3)
-        n2 = l2 - det * (-j21 * j33 * r1 + j11 * j33 * r2 - j11 * j23 * r3)
-        n3 = l3 - det * (j21 * j32 * r1 - j11 * j32 * r2 - j12 * j21 * r3)
-        q1, q2, q3 = residual(n1, n2, n3)
-        take = np.abs(q1) + np.abs(q2) + np.abs(q3) <= np.abs(r1) + np.abs(r2) + np.abs(r3)
-        l1, l2, l3 = np.where(take, n1, l1), np.where(take, n2, l2), np.where(take, n3, l3)
-        r1, r2, r3 = np.where(take, q1, r1), np.where(take, q2, r2), np.where(take, q3, r3)
+    # R = C W^T with W the orthonormal frame of d12 and n and C that of
+    # their images yd1 and yd1 x yd2: Y X^-1 for X = [d12, d13, n] when the
+    # depths are exact, and a rotation to rounding, which keeps the scoring
+    # prefilter tight, when they are not
+    world = _frame(d12, n)[:, :, h]
+    x1, y1, y2, y3 = np.stack([x1, y1, y2, y3])[:, :, h]
+    ry1 = y1 * l1
+    yd1 = ry1 - y2 * l2
+    cam = _frame(yd1, _cross(yd1, ry1 - y3 * l3))
+    # camera-to-world R[j, i] = sum_k W[k, j] C[k, i]
+    rot = sum(w[:, None] * c for w, c in zip(world, cam))
+    t = ry1 - (x1[0] * rot[0] + x1[1] * rot[1] + x1[2] * rot[2])
+    return slots, rot, t
 
-    # depths that miss the distances come from roots that hold no solution
-    valid &= ((np.abs(r1) <= _P3P_DISTANCE_TOL * a12) & (np.abs(r2) <= _P3P_DISTANCE_TOL * a13)
-              & (np.abs(r3) <= _P3P_DISTANCE_TOL * a23))
 
-    # R = C W^T with W the orthonormal frame of d12 and n = d12 x d13 and C
-    # that of their images yd1 and yd1 x yd2: Y X^-1 for X = [d12, d13, n]
-    # when the depths are exact, and a rotation to rounding, which keeps the
-    # scoring prefilter tight, when they are not. A cross product of nearly
-    # parallel vectors is off-normal by about u / sin(angle): project again.
-    def frame(first, normal):
-        first = first / np.sqrt(_dot(first, first))[..., None]
-        normal = normal - _dot(normal, first)[..., None] * first
-        normal = normal / np.sqrt(_dot(normal, normal))[..., None]
-        return first, _cross(normal, first), normal
-
-    n = _cross(d12, d13)
-    ry1 = y1[:, None] * l1[..., None]
-    yd1 = ry1 - y2[:, None] * l2[..., None]
-    cam = frame(yd1, _cross(yd1, ry1 - y3[:, None] * l3[..., None]))
-    world = frame(d12, n)
-    # camera-to-world R[j, i] = sum_k W[j, k] C[i, k]
-    rot = sum(w[:, None, :, None] * c[:, :, None, :] for w, c in zip(world, cam))
-    t = ry1 - (x1[:, None, 0, None] * rot[:, :, 0] + x1[:, None, 1, None] * rot[:, :, 1]
-               + x1[:, None, 2, None] * rot[:, :, 2])
-    valid &= (_dot(n, n) > _COLLINEAR_TOL * a12[:, 0] * a13[:, 0])[:, None]
-    return valid, rot, t
+def _p3p_candidates(pts, brs):
+    """The poses of :func:`_p3p_slots` laid out per sample: (valid, R, T)
+    of shapes (H, 4), (H, 4, 3, 3) and (H, 4, 3), NaN where no pose."""
+    slots, rot, t = _p3p_slots(pts, brs)
+    valid = np.zeros(4 * len(pts), dtype=np.bool_)
+    rots = np.full((4 * len(pts), 3, 3), np.nan)
+    ts = np.full((4 * len(pts), 3), np.nan)
+    valid[slots], rots[slots], ts[slots] = True, np.moveaxis(rot, 2, 0), t.T
+    return valid.reshape(-1, 4), rots.reshape(-1, 4, 3, 3), ts.reshape(-1, 4, 3)
 
 
 @np.errstate(all="ignore")
@@ -437,18 +504,22 @@ def _solve_p3p_batch(pts, brs):
     points, then the candidate with the least summed angular residual over
     the other k - 3. Where the first three world points are (near-)collinear
     or no candidate exists, ``ok`` is False and R, T are zero."""
-    valid, rot, t = _p3p_candidates(pts, brs)
-    xs, bs = pts[:, None, 3:], brs[:, None, 3:]
-    g = (xs[..., 0, None] * rot[:, :, None, 0] + xs[..., 1, None] * rot[:, :, None, 1]
-         + xs[..., 2, None] * rot[:, :, None, 2] + t[:, :, None])
+    slots, rot, t = _p3p_slots(pts, brs)
+    # the other points of each slot's sample, component-major (3, K, k - 3)
+    xs = np.moveaxis(pts[:, 3:], 2, 0)[:, slots >> 2]
+    bs = np.moveaxis(brs[:, 3:], 2, 0)[:, slots >> 2]
+    g = (xs[0] * rot[0, :, :, None] + xs[1] * rot[1, :, :, None] + xs[2] * rot[2, :, :, None]
+         + t[:, :, None])
     sin_part = _cross(g, bs)
-    score = np.arctan2(np.sqrt(_dot(sin_part, sin_part)), _dot(g, bs)).sum(axis=2)
-    score = np.where(valid & np.isfinite(score), score, np.inf)
-    best = np.argmin(score, axis=1)
-    rows = np.arange(len(best))
-    ok = np.isfinite(score[rows, best])
-    return (ok, np.where(ok[:, None, None], rot[rows, best], 0.0),
-            np.where(ok[:, None], t[rows, best], 0.0))
+    score = np.arctan2(np.sqrt(_dot(sin_part, sin_part)), _dot(g, bs)).sum(axis=1)
+    scores = np.full((len(pts), 4), np.inf)
+    scores.ravel()[slots] = np.where(np.isfinite(score), score, np.inf)
+    best = np.argmin(scores, axis=1)
+    ok = np.isfinite(scores[np.arange(len(pts)), best])
+    win = np.searchsorted(slots, 4 * np.flatnonzero(ok) + best[ok])
+    rots, ts = np.zeros((len(pts), 3, 3)), np.zeros((len(pts), 3))
+    rots[ok], ts[ok] = np.moveaxis(rot[:, :, win], 2, 0), t[:, win].T
+    return ok, rots, ts
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +730,7 @@ def _draw_samples(seed: int, iterations: int, n: int, k: int) -> np.ndarray:
     return out
 
 
-def ransac_pnp(corrs: Correspondences, cfg: RansacConfig = None, threads: int = 1) -> PoseEstimate:
+def ransac_pnp(corrs: Correspondences, cfg: RansacConfig = None) -> PoseEstimate:
     """Robust pose estimate; see module docstring for determinism contract.
 
     The best model maximizes the inlier count; ties break on lower mean
@@ -671,9 +742,7 @@ def ransac_pnp(corrs: Correspondences, cfg: RansacConfig = None, threads: int = 
     ``cfg.refit_on_inliers`` the winner is re-solved by EPnP over the points
     within 2, 1.5 and 1 times the threshold in turn, each time from the pose
     kept so far; a refit is kept only if it has at least as many inliers as
-    that pose. ``threads > 1`` spreads the chunks of the minimal solves and
-    the bound pass over a thread pool (numpy releases the GIL in its array
-    loops); the result is bitwise the same for any value.
+    that pose.
     """
     if cfg is None:
         cfg = RansacConfig()
@@ -689,8 +758,7 @@ def ransac_pnp(corrs: Correspondences, cfg: RansacConfig = None, threads: int = 
     bounds = np.zeros(cfg.iterations, dtype=np.int64)
     rots = np.zeros((cfg.iterations, 3, 3))
     ts = np.zeros((cfg.iterations, 3))
-
-    def evaluate(lo):
+    for lo in range(0, cfg.iterations, _HYPOTHESIS_CHUNK):
         hi = min(lo + _HYPOTHESIS_CHUNK, cfg.iterations)
         idx = samples[lo:hi]
         ok, rot, t = _solve_p3p_batch(pts[idx], brs[idx])
@@ -699,15 +767,6 @@ def ransac_pnp(corrs: Correspondences, cfg: RansacConfig = None, threads: int = 
         bounds[lo:hi][ok] = _prefilter_bounds(rot[ok], t[ok], lift, cfg.inlier_threshold_deg)
         rots[lo:hi] = rot
         ts[lo:hi] = t
-
-    # chunk boundaries depend on the iteration count only, never on threads
-    starts = range(0, cfg.iterations, _HYPOTHESIS_CHUNK)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(evaluate, starts))
-    else:
-        for lo in starts:
-            evaluate(lo)
 
     _, _, best_it, res = _exact_pass(bounds, rots, ts, pts, brs, cfg.inlier_threshold_deg)
     best_effort = None

@@ -1,6 +1,5 @@
 from dataclasses import replace
 import math
-import threading
 import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
@@ -74,6 +73,7 @@ class TestEpnpBearing:
             epnp_bearing(Correspondences(bearings, pts))
 
     @settings(max_examples=100, deadline=None)
+    @example(seed=630, n=4, offset=4097.0, spread=0.001)  # a rounding-sized normal
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(4, 60),
            offset=st.floats(-1e4, 1e4), spread=st.floats(1e-3, 100.0))
     def test_collinear_points_always_degenerate(self, seed, n, offset, spread):
@@ -174,6 +174,22 @@ class TestAngularResidual:
             assert got[i] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
+    def test_stacked_poses_match_one_pose_at_a_time(self, rng):
+        # a stack of poses, with shared or per-pose bearings, gives each
+        # pose's residuals bitwise as a call with that pose alone
+        corrs = synthetic_corrs(random_pose(rng), 50, rng)
+        poses = [random_pose(rng) for _ in range(6)]
+        rots = np.array([p.rotation for p in poses])
+        ts = np.array([p.translation for p in poses])
+        pts = corrs.world_points
+        brs = corrs.bearings + rng.normal(0.0, 0.05, (6, 50, 3))
+        shared = _residuals(rots, ts, pts, corrs.bearings)
+        own = _residuals(rots, ts, pts, brs)
+        for i in range(6):
+            assert np.array_equal(shared[i], _residuals(rots[i], ts[i], pts, corrs.bearings))
+            assert np.array_equal(own[i], _residuals(rots[i], ts[i], pts, brs[i]))
+
+
 class TestRansac:
     def test_zero_noise_recovers_and_all_inliers(self, rng):
         pose = random_pose(rng)
@@ -227,57 +243,23 @@ class TestRansac:
         assert np.array_equal(a.pose.translation, b.pose.translation)
         assert np.array_equal(a.inlier_indices, b.inlier_indices)
 
-    def test_bit_identical_serial_vs_parallel(self, rng):
-        pose = random_pose(rng)
-        corrs = synthetic_corrs(pose, 150, rng)
-        pts = corrs.world_points.copy()
-        pts[:40] = rng.uniform(-50, 50, (40, 3))
-        noisy = Correspondences(corrs.bearings, pts)
-        cfg = RansacConfig(iterations=300, seed=11)
-        serial = ransac_pnp(noisy, cfg, threads=1)
-        parallel = ransac_pnp(noisy, cfg, threads=4)
-        assert np.array_equal(serial.pose.rotation, parallel.pose.rotation)
-        assert np.array_equal(serial.pose.translation, parallel.pose.translation)
-        assert np.array_equal(serial.inlier_indices, parallel.inlier_indices)
-
-    def test_thread_count_never_changes_result(self, rng):
-        # the final chunk holds a single hypothesis
+    @pytest.mark.parametrize("chunk", [1, 7, 1000])
+    def test_chunk_size_never_changes_result(self, rng, monkeypatch, chunk):
+        # every hypothesis's arithmetic is independent of the others in its
+        # chunk, down to chunks of one; 2001 iterations leave a short last one
         pose = random_pose(rng)
         corrs = synthetic_corrs(pose, 200, rng)
         pts = corrs.world_points.copy()
         pts[:60] = rng.uniform(-50, 50, (60, 3))
         noisy = Correspondences(corrs.bearings, pts)
-        cfg = RansacConfig(iterations=2 * pnp._HYPOTHESIS_CHUNK + 1, seed=13)
-        serial = ransac_pnp(noisy, cfg, threads=1)
-        for threads in (2, 4):
-            other = ransac_pnp(noisy, cfg, threads=threads)
-            assert np.array_equal(serial.pose.rotation, other.pose.rotation)
-            assert np.array_equal(serial.pose.translation, other.pose.translation)
-            assert np.array_equal(serial.inlier_indices, other.inlier_indices)
-
-    def test_threads_solve_chunks_concurrently(self, rng, monkeypatch):
-        # the first two chunks meet at a barrier, which only a pool running
-        # them at the same time can pass
-        barrier = threading.Barrier(2, timeout=30)
-        lock = threading.Lock()
-        callers = []
-        real = pnp._solve_p3p_batch
-
-        def solve(*args):
-            with lock:
-                callers.append(threading.get_ident())
-                order = len(callers)
-            if order <= 2:
-                barrier.wait()
-            return real(*args)
-
-        monkeypatch.setattr(pnp, "_solve_p3p_batch", solve)
-        pose = random_pose(rng)
-        corrs = synthetic_corrs(pose, 100, rng)
-        ransac_pnp(corrs, RansacConfig(iterations=3 * pnp._HYPOTHESIS_CHUNK, seed=4),
-                   threads=4)
-        assert len(callers) == 3
-        assert len(set(callers[:2])) == 2
+        cfg = RansacConfig(iterations=2001, seed=13)
+        want = ransac_pnp(noisy, cfg)
+        monkeypatch.setattr(pnp, "_HYPOTHESIS_CHUNK", chunk)
+        got = ransac_pnp(noisy, cfg)
+        assert np.array_equal(want.pose.rotation, got.pose.rotation)
+        assert np.array_equal(want.pose.translation, got.pose.translation)
+        assert np.array_equal(want.inlier_indices, got.inlier_indices)
+        assert want.mean_inlier_angle_deg == got.mean_inlier_angle_deg
 
     def test_planar_inliers_with_outliers(self, rng):
         # every inlier lies on one facade, so all-inlier samples are planar
@@ -498,6 +480,20 @@ class TestBatchedMinimalSolver:
         ok, rots, ts = pnp._solve_p3p_batch(*self.stack(samples))
         assert np.array_equal(ok, ~np.array(collinear))
         assert not rots[~ok].any() and not ts[~ok].any()
+
+    def test_rounding_sized_normals_flagged_degenerate(self):
+        # four points on a line 4097 m from the origin, within a millimetre:
+        # each triple's normal is coordinate rounding, which one triple's
+        # normal exceeds relative to its sides
+        rng = np.random.default_rng(630)
+        direction = rng.normal(size=3)
+        pts = 4097.0 + rng.uniform(-1e-3, 1e-3, (4, 1)) * direction
+        brs = pts - (pts[0] + np.cross(direction, rng.normal(size=3)))
+        brs /= np.linalg.norm(brs, axis=1, keepdims=True)
+        triples = np.array([np.roll(np.arange(4), -i) for i in range(4)])
+        ok, rots, ts = pnp._solve_p3p_batch(pts[triples], brs[triples])
+        assert not ok.any()
+        assert not rots.any() and not ts.any()
 
     def test_solutions_reproject_their_samples(self, rng):
         # on noiseless samples at least 99.9% give the exact pose, also when
