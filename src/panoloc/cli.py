@@ -4,12 +4,15 @@ Subcommands: generate, render, fit-map, predict-sim, localize, evaluate.
 Every command is a pure function of (input files, flags, seed); re-running
 writes byte-identical outputs. A flag exists only on the subcommands that
 read it. The per-frame stages work on each frame whole in one thread and
-pool results in frame order, so ``--threads`` never changes the bytes;
-generate and ``fit-map --cloud`` accept it unused. Flags can also be
+pool results in frame order, so ``--threads`` (at least 1) never changes
+the bytes; generate and ``fit-map --cloud`` accept it unused. Counts and
+caps (``--poses``, ``--max-points-per-frame``, ``--max-corrs``) are at
+least 0, and ``--percentiles`` takes values in [0, 100]. Flags can also be
 supplied through a JSON config file (top-level keys and/or per-subcommand
-sections); explicit flags win, and a key that is no flag is bad input.
-Exit codes: 0 success, 2 bad input, 3 localisation reached no consensus
-on any frame.
+sections); explicit flags win, and a key that is no flag is bad input. A
+top-level key reaches every subcommand with that flag, ``fit-map --cloud``
+included. Exit codes: 0 success, 2 bad input, 3 localisation reached no
+consensus on any frame.
 """
 
 import argparse
@@ -59,6 +62,16 @@ def _write_meta(out_dir: Path, command: str, args: argparse.Namespace) -> None:
              if k not in skip and not callable(v)}
     meta = {"command": command, "flags": flags}
     fileio.save_json(out_dir / f"{command.replace('-', '_')}_meta.json", meta, default=str)
+
+
+def _check_counts(args) -> None:
+    """Reject a count below its least value; a negative cap would drop items."""
+    # render's --poses is a file name, not a count
+    for dest, least in (("threads", 1), ("poses", 0), ("max_points_per_frame", 0),
+                        ("max_corrs", 0)):
+        value = getattr(args, dest, None)
+        if isinstance(value, int) and value < least:
+            raise InputError(f"--{dest.replace('_', '-')} must be at least {least}, got {value}")
 
 
 def _map_frames(work, items, threads: int) -> list:
@@ -124,10 +137,14 @@ def cmd_render(args) -> int:
 
 def cmd_fit_map(args) -> int:
     if args.cloud:
-        for flag, given in (("--frames", args.frames is not None), ("--seed", args.seed != 0),
-                            ("--max-points-per-frame", args.max_points_per_frame != 0)):
-            if given:
-                raise InputError(f"{flag} acts only on --frames; it cannot be given with --cloud")
+        for flag, value, unset in (("--frames", args.frames, None), ("--seed", args.seed, 0),
+                                   ("--max-points-per-frame", args.max_points_per_frame, 0)):
+            if value != unset:
+                fix = (f' (if config {args.config} sets {flag[2:]!r} at its top level, add '
+                       f'a "fit-map": {{"{flag[2:]}": {json.dumps(unset)}}} section)'
+                       if args.config else "")
+                raise InputError(f"{flag} acts only on --frames; it cannot be given with --cloud"
+                                 + fix)
         points, labels = fileio.load_ply(_require(args.cloud, "point cloud"))
     elif args.frames:
         frames_dir = _require(args.frames, "frames directory")
@@ -295,7 +312,7 @@ def build_parser():
         if seeded:
             p.add_argument("--seed", type=int, default=0, help="global random seed")
         p.add_argument("--threads", type=int, default=1,
-                       help="threads to split frames over (unused by generate and "
+                       help="threads (at least 1) to split frames over (unused by generate and "
                             "fit-map --cloud); never changes the output")
         p.add_argument("--config", type=str, default=None,
                        help="JSON config file; explicit flags override it")
@@ -345,7 +362,7 @@ def build_parser():
     p.add_argument("--pred-frames", type=str, default=None)
     p.add_argument("--gt-frames", type=str, default=None)
     p.add_argument("--percentiles", type=str, default="",
-                   help="extra pose percentiles, e.g. '80'")
+                   help="extra pose percentiles in [0, 100], e.g. '80'")
     return parser, subparsers
 
 
@@ -431,6 +448,7 @@ def main(argv=None) -> int:
         return 2
     args = parser.parse_args(argv)
     try:
+        _check_counts(args)
         return args.func(args)
     except (InputError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

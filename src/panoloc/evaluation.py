@@ -20,11 +20,9 @@ __all__ = [
     "PoseMetrics",
     "coord_distances",
     "coord_metrics",
-    "coord_accuracy",
     "pose_metrics",
     "error_curves",
     "roc_percentages",
-    "distance_roc",
     "CONVENTIONS",
 ]
 
@@ -80,20 +78,15 @@ class PoseMetrics:
         return out
 
 
-def coord_distances(pred: SceneCoordinateImage, gt: SceneCoordinateImage,
-                    select: np.ndarray = None):
-    """Per-pixel distances over ground-truth-valid pixels.
+def coord_distances(pred: SceneCoordinateImage, gt: SceneCoordinateImage):
+    """Per-pixel distances over ground-truth-valid pixels, in raster order.
 
-    Pixels where the prediction is missing come back infinite. ``select``
-    optionally restricts the evaluation to a boolean pixel mask.
+    Pixels where the prediction is missing come back infinite.
     Returns (distances, n_valid).
     """
     if pred.coords.shape != gt.coords.shape:
         raise ValueError("prediction and ground truth dims differ")
-    gt_mask = gt.mask
-    if select is not None:
-        gt_mask = gt_mask & select
-    idx = np.flatnonzero(gt_mask)
+    idx = np.flatnonzero(gt.mask)
     n_valid = idx.size
     if n_valid == 0:
         return np.empty(0), 0
@@ -122,18 +115,15 @@ def coord_metrics(dist: np.ndarray, n_valid: int) -> CoordMetrics:
     )
 
 
-def coord_accuracy(pred: SceneCoordinateImage, gt: SceneCoordinateImage,
-                   select: np.ndarray = None) -> CoordMetrics:
-    """Fractions of pixels within 0.5/1/3 m plus the mean error within 3 m."""
-    return coord_metrics(*coord_distances(pred, gt, select))
-
-
 def percentile_linear(values, q: float) -> float:
-    """Percentile by linear interpolation between closest ranks.
+    """Percentile ``q`` in [0, 100] by linear interpolation between closest
+    ranks.
 
     Spelled out (rather than delegated to numpy) so the convention is
     pinned for reproducibility across library versions.
     """
+    if not 0.0 <= q <= 100.0:  # NaN fails too
+        raise ValueError(f"percentile {q} is outside [0, 100]")
     x = np.sort(np.asarray(values, dtype=np.float64), kind="stable")
     if x.size == 0:
         raise EmptyMetricsError("no values for percentile")
@@ -184,13 +174,3 @@ def roc_percentages(dist: np.ndarray, n_valid: int, thresholds) -> np.ndarray:
     within = np.searchsorted(np.sort(dist), grid, side="right")
     within[np.isnan(grid)] = 0  # NaN sorts last, but no d <= NaN
     return 100.0 * within.astype(np.float64) / n_valid
-
-
-def distance_roc(pred: SceneCoordinateImage, gt: SceneCoordinateImage,
-                 thresholds, select: np.ndarray = None):
-    """Cumulative accuracy curve: (thresholds, % of pixels within each).
-
-    Agrees exactly with :func:`coord_accuracy` at shared thresholds.
-    """
-    grid = np.asarray(thresholds, dtype=np.float64)
-    return grid, roc_percentages(*coord_distances(pred, gt, select), grid)

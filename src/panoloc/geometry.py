@@ -61,10 +61,6 @@ class Pose:
         object.__setattr__(self, "rotation", rot)
         object.__setattr__(self, "translation", tra)
 
-    @staticmethod
-    def identity() -> "Pose":
-        return Pose(np.eye(3), np.zeros(3))
-
     @property
     def camera_center(self) -> np.ndarray:
         """Camera centre in world coordinates, -R @ T."""
@@ -76,13 +72,6 @@ class Pose:
         if pts.ndim == 1:
             return self.rotation.T @ pts + self.translation
         return pts @ self.rotation + self.translation
-
-    def camera_to_world(self, points: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`world_to_camera`."""
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim == 1:
-            return self.rotation @ (pts - self.translation)
-        return (pts - self.translation) @ self.rotation.T
 
 
 def pixel_to_bearing(u, v, width: int, height: int) -> np.ndarray:

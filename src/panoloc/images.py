@@ -54,9 +54,6 @@ class SceneCoordinateImage:
         c = self.coords
         return np.isfinite(c[..., 0]) & np.isfinite(c[..., 1]) & np.isfinite(c[..., 2])
 
-    def copy(self) -> "SceneCoordinateImage":
-        return SceneCoordinateImage(self.coords.copy())
-
 
 @dataclass
 class LabelImage:
@@ -86,6 +83,3 @@ class LabelImage:
     def instance_mask(self) -> np.ndarray:
         """(H, W) bool: pixels labelled with a building instance."""
         return self.labels >= FIRST_INSTANCE_LABEL
-
-    def copy(self) -> "LabelImage":
-        return LabelImage(self.labels.copy())

@@ -128,9 +128,6 @@ class InstanceMap:
     label_count: int
     skipped: dict = field(default_factory=dict)
 
-    def __contains__(self, label) -> bool:
-        return int(label) in self.transforms
-
     def __len__(self) -> int:
         return len(self.transforms)
 
@@ -139,20 +136,6 @@ class InstanceMap:
 
     def instance_labels(self) -> list:
         return sorted(self.transforms)
-
-    def whiten_image(self, coords: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        """Per-pixel whitening under the pixel's label.
-
-        Pixels whose label has no transform (or with non-finite
-        coordinates) come back NaN.
-        """
-        out = np.full(coords.shape, np.nan)
-        finite = np.isfinite(coords).all(axis=-1)
-        for label, tf in self.transforms.items():
-            sel = (labels == label) & finite
-            if np.any(sel):
-                out[sel] = whiten(tf, coords[sel])
-        return out
 
 
 def build_instance_map(points: np.ndarray, labels: np.ndarray) -> InstanceMap:

@@ -128,7 +128,6 @@ class RansacConfig:
     inlier_threshold_deg: float = 0.22
     min_sample: int = 4
     seed: int = 0
-    refit_on_inliers: bool = True
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -144,7 +143,6 @@ class PoseEstimate:
     pose: Pose
     inlier_indices: np.ndarray
     mean_inlier_angle_deg: float
-    config: RansacConfig = None
 
 
 # ---------------------------------------------------------------------------
@@ -487,17 +485,6 @@ def _p3p_slots(pts, brs):
     return slots, rot, t
 
 
-def _p3p_candidates(pts, brs):
-    """The poses of :func:`_p3p_slots` laid out per sample: (valid, R, T)
-    of shapes (H, 4), (H, 4, 3, 3) and (H, 4, 3), NaN where no pose."""
-    slots, rot, t = _p3p_slots(pts, brs)
-    valid = np.zeros(4 * len(pts), dtype=np.bool_)
-    rots = np.full((4 * len(pts), 3, 3), np.nan)
-    ts = np.full((4 * len(pts), 3), np.nan)
-    valid[slots], rots[slots], ts[slots] = True, np.moveaxis(rot, 2, 0), t.T
-    return valid.reshape(-1, 4), rots.reshape(-1, 4, 3, 3), ts.reshape(-1, 4, 3)
-
-
 @np.errstate(all="ignore")
 def _solve_p3p_batch(pts, brs):
     """(ok, R, T) for stacked (H, k >= 4, 3) samples: P3P on the first three
@@ -738,11 +725,10 @@ def ransac_pnp(corrs: Correspondences, cfg: RansacConfig = None) -> PoseEstimate
     The bound pass gives every hypothesis an upper bound on its inlier
     count; the exact pass scores hypotheses by decreasing bound and stops at
     the first whose bound is below the best exact count, so it picks the
-    same winner as scoring all of them exactly. With
-    ``cfg.refit_on_inliers`` the winner is re-solved by EPnP over the points
-    within 2, 1.5 and 1 times the threshold in turn, each time from the pose
-    kept so far; a refit is kept only if it has at least as many inliers as
-    that pose.
+    same winner as scoring all of them exactly. The winner is then re-solved
+    by EPnP over the points within 2, 1.5 and 1 times the threshold in turn,
+    each time from the pose kept so far; a refit is kept only if it has at
+    least as many inliers as that pose.
     """
     if cfg is None:
         cfg = RansacConfig()
@@ -773,7 +759,7 @@ def ransac_pnp(corrs: Correspondences, cfg: RansacConfig = None) -> PoseEstimate
     if best_it >= 0:
         inliers = np.flatnonzero(res < cfg.inlier_threshold_deg)
         best_effort = PoseEstimate(Pose(rots[best_it], ts[best_it]), inliers,
-                                   float(res[inliers].mean()), cfg)
+                                   float(res[inliers].mean()))
 
     if best_effort is None or inliers.size < cfg.min_sample + 1:
         raise NoConsensusError(
@@ -783,7 +769,7 @@ def ransac_pnp(corrs: Correspondences, cfg: RansacConfig = None) -> PoseEstimate
     # LO-RANSAC (Chum et al., DAGM 2003; Lebeda et al., BMVC 2012): a refit is
     # kept only if it loses no inliers at the real threshold
     estimate = best_effort
-    for widen in _REFIT_WIDENING if cfg.refit_on_inliers else ():
+    for widen in _REFIT_WIDENING:
         near = np.flatnonzero(res < widen * cfg.inlier_threshold_deg)
         try:  # fewer than 4 points, or degenerate ones
             refit = epnp_bearing(corrs.subset(near))
@@ -793,5 +779,5 @@ def ransac_pnp(corrs: Correspondences, cfg: RansacConfig = None) -> PoseEstimate
         inliers = np.flatnonzero(refit_res < cfg.inlier_threshold_deg)
         if inliers.size >= estimate.inlier_indices.size:
             res = refit_res
-            estimate = PoseEstimate(refit, inliers, float(res[inliers].mean()), cfg)
+            estimate = PoseEstimate(refit, inliers, float(res[inliers].mean()))
     return estimate

@@ -236,9 +236,6 @@ class CityScene:
     def buildings(self) -> tuple:
         return tuple(map(Cuboid._of_row, self.boxes, self.box_labels.tolist()))
 
-    def labels(self) -> list:
-        return self.box_labels.tolist()
-
     def _corners(self, origin=0.0) -> np.ndarray:
         """(B, 8, 3) building corners relative to ``origin``."""
         return _box_corners(self.boxes[:, 0:3] - origin, self.boxes[:, 3:6],

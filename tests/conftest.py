@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from panoloc.geometry import Pose, quaternion_to_rotation
+from panoloc.instance_map import whiten
 from panoloc.pnp import Correspondences
 
 
@@ -11,6 +12,24 @@ def random_pose(rng) -> Pose:
     rot = quaternion_to_rotation(rng.normal(size=4))
     center = rng.uniform(-20.0, 20.0, 3)
     return Pose(rot, -rot.T @ center)
+
+
+def camera_to_world(pose: Pose, points) -> np.ndarray:
+    """(N, 3) camera-frame points in the world: the inverse of
+    ``pose.world_to_camera``, R (X - T) for each point X."""
+    return (np.asarray(points, dtype=np.float64) - pose.translation) @ pose.rotation.T
+
+
+def whiten_image(imap, coords: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """(H, W, 3) local coordinates: each pixel whitened under its label's
+    transform; NaN where the label has none or the coordinate is not finite."""
+    out = np.full(coords.shape, np.nan)
+    finite = np.isfinite(coords).all(axis=-1)
+    for label, tf in imap.transforms.items():
+        sel = (labels == label) & finite
+        if np.any(sel):
+            out[sel] = whiten(tf, coords[sel])
+    return out
 
 
 def synthetic_corrs(pose: Pose, n: int, rng, planar: bool = False,

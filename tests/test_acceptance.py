@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 from scipy.stats import maxwell
 
-from conftest import random_pose, synthetic_corrs
+from conftest import camera_to_world, random_pose, synthetic_corrs, whiten_image
 from panoloc import fileio, pnp
 from panoloc.cli import main as cli_main
-from panoloc.evaluation import coord_distances, error_curves, pose_metrics
+from panoloc.evaluation import (coord_distances, coord_metrics, error_curves, pose_metrics,
+                                roc_percentages)
 from panoloc.fileio import load_poses_jsonl
 from panoloc.geometry import Pose, image_bearings, pixel_to_bearing, relative_pose_errors
 from panoloc.images import SceneCoordinateImage
@@ -163,7 +164,7 @@ def _random_coord_image(rng, h=8, w=16, invalid=0.2):
     bearings = image_bearings(w, h)
     pose = random_pose(rng)
     depth = rng.uniform(3.0, 30.0, (h, w, 1))
-    coords = pose.camera_to_world((bearings * depth).reshape(-1, 3)).reshape(h, w, 3)
+    coords = camera_to_world(pose, (bearings * depth).reshape(-1, 3)).reshape(h, w, 3)
     coords += rng.normal(scale=0.5, size=coords.shape)
     coords[rng.uniform(size=(h, w)) < invalid] = np.nan
     return SceneCoordinateImage(coords), pose, bearings
@@ -184,7 +185,7 @@ def test_criterion_04_gradient_correctness(rng):
     pts = np.vstack([rng.normal(size=(30, 3)) * 2.0,
                      rng.normal(size=(30, 3)) * 2.0 + 40.0])
     imap = build_instance_map(pts, np.array([1000] * 30 + [1001] * 30))
-    local_gt = SceneCoordinateImage(imap.whiten_image(gt.coords, labels.labels))
+    local_gt = SceneCoordinateImage(whiten_image(imap, gt.coords, labels.labels))
     local_pred = SceneCoordinateImage(
         local_gt.coords + rng.normal(scale=0.3, size=local_gt.coords.shape))
 
@@ -244,7 +245,7 @@ def test_criterion_05_l1_radial_invariance(rng):
     worst = 0.0
     for lam in (0.5, 2.0, 10.0):
         cam = pose.world_to_camera(pred.coords.reshape(-1, 3)) * lam
-        scaled = SceneCoordinateImage(pose.camera_to_world(cam).reshape(pred.coords.shape))
+        scaled = SceneCoordinateImage(camera_to_world(pose, cam).reshape(pred.coords.shape))
         value, _ = loss_l1_repr(scaled, pose, bearings)
         worst = max(worst, abs(value - base))
     ok = worst < 1e-9
@@ -275,9 +276,8 @@ def _localize_frames(frames_dir, map_path, seed, sigma=0.0, outlier=0.0, flips=0
             fileio.save_coords(pred_dir / f"{frame}.scrd", pred_coords)
             fileio.save_labels(pred_dir / f"{frame}.lbls", pred_labels)
         gt_building = coords.mask & np.isin(labels.labels, map_labels)
-        d, n = coord_distances(pred_coords, coords, select=gt_building)
-        if n:
-            pct_chunks.append(d)
+        # distances come in raster order over gt-valid pixels; pick the buildings among them
+        pct_chunks.append(coord_distances(pred_coords, coords)[0][gt_building[coords.mask]])
         sel = pred_coords.mask & np.isin(pred_labels.labels, map_labels)
         rows, cols = np.nonzero(sel)
         if rows.size < 4:
@@ -360,8 +360,6 @@ def test_criterion_08_approximate_map_fixed_point(tmp_path):
 
 
 def test_criterion_09_metric_oracles(rng):
-    from panoloc.evaluation import coord_accuracy, distance_roc
-
     def oracle_coord(pred, gt):
         h, w, _ = gt.coords.shape
         dists = []
@@ -396,7 +394,8 @@ def test_criterion_09_metric_oracles(rng):
         pred_img, gt_img = SceneCoordinateImage(pred), SceneCoordinateImage(gt)
 
         od = oracle_coord(pred_img, gt_img)
-        m = coord_accuracy(pred_img, gt_img)
+        dist, n_valid = coord_distances(pred_img, gt_img)
+        m = coord_metrics(dist, n_valid)
         within3 = od[od <= 3.0]
         all_ok &= m.pct_within_0_5m == 100.0 * (od <= 0.5).sum() / od.size
         all_ok &= m.pct_within_1m == 100.0 * (od <= 1.0).sum() / od.size
@@ -405,7 +404,7 @@ def test_criterion_09_metric_oracles(rng):
         all_ok &= m.n_valid == od.size
 
         grid = [0.25, 0.5, 1.0, 2.0, 3.0]
-        _, pct = distance_roc(pred_img, gt_img, grid)
+        pct = roc_percentages(dist, n_valid, grid)
         for t, p in zip(grid, pct):
             all_ok &= p == 100.0 * (od <= t).sum() / od.size
 
@@ -422,8 +421,9 @@ def test_criterion_09_metric_oracles(rng):
         curve_d, curve_a = error_curves(errors)
         all_ok &= np.array_equal(curve_d, np.array(sorted(darr)))
         all_ok &= np.array_equal(curve_a, np.array(sorted(aarr)))
-    report(9, bool(all_ok), "coord_accuracy, pose_metrics, error_curves and distance_roc "
-                            "match brute-force recomputation exactly on 20 fixtures")
+    report(9, bool(all_ok), "coord_distances with coord_metrics and roc_percentages, "
+                            "pose_metrics and error_curves match brute-force recomputation "
+                            "exactly on 20 fixtures")
 
 
 def _courtyard_scene():
@@ -455,7 +455,7 @@ def test_criterion_10_building_removal(tmp_path):
 
     # removed instances never appear in renders of the reduced scene
     _, pose = sample_trajectory(small, 1, seed=2)[0]
-    removed_labels = set(small.labels()) - set(kept.labels())
+    removed_labels = set(small.box_labels.tolist()) - set(kept.box_labels.tolist())
     _, labels = raycast_render(kept, pose, (256, 128))
     label_ok = not (set(np.unique(labels.labels)) & removed_labels)
 

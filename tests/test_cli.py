@@ -1,5 +1,6 @@
 import importlib
 import json
+import math
 import os
 from pathlib import Path
 import subprocess
@@ -119,6 +120,46 @@ class TestPipeline:
         assert (mini_pipeline / "eval" / "dist_curve.csv").exists()
         assert (mini_pipeline / "eval" / "angle_curve.csv").exists()
         assert (mini_pipeline / "eval" / "roc.csv").exists()
+
+    def test_building_numbers_match_a_per_pixel_oracle(self, mini_pipeline, tmp_path):
+        # noisy predictions of the mini run's frames, scored by scalar
+        # distances over the pixels whose ground truth is a finite building
+        frames, pred, ev = mini_pipeline / "frames", tmp_path / "pred", tmp_path / "eval"
+        assert run("predict-sim", "--frames", frames, "--map", mini_pipeline / "map.json",
+                   "--sigma", 0.8, "--outlier-rate", 0.1, "--label-flip-rate", 0.1,
+                   "--seed", 4, "--out", pred) == 0
+        assert run("evaluate", "--estimates", mini_pipeline / "loc" / "estimates.jsonl",
+                   "--gt-poses", mini_pipeline / "gen" / "poses.jsonl", "--pred-frames", pred,
+                   "--gt-frames", frames, "--out", ev) == 0
+        dists = []
+        for frame in fileio.list_frames(frames):
+            gt, labels = fileio.load_frame(frames, frame)
+            pred_coords = fileio.load_frame_coords(pred, frame).coords
+            for r, c in np.ndindex(labels.labels.shape):
+                if labels.labels[r, c] >= 1000 and all(map(math.isfinite, gt.coords[r, c])):
+                    dx, dy, dz = (float(p) - float(g)
+                                  for p, g in zip(pred_coords[r, c], gt.coords[r, c]))
+                    d = math.sqrt(dx * dx + dy * dy + dz * dz)
+                    dists.append(d if math.isfinite(d) else math.inf)
+        n = len(dists)
+
+        def pct(t):
+            return 100.0 * sum(d <= t for d in dists) / n
+
+        report = json.loads((ev / "report.json").read_text())
+        block = report["coord_buildings"]
+        assert block["n_valid"] == n < report["coord"]["n_valid"]
+        assert 0.0 < block["pct_within_0_5m"] == pct(0.5) < block["pct_within_1m"] == pct(1.0)
+        assert block["pct_within_3m"] == pct(3.0) < 100.0
+        within3 = [d for d in dists if d <= 3.0]
+        assert block["mean_dist_within_3m"] == pytest.approx(math.fsum(within3) / len(within3),
+                                                             rel=1e-12)
+        header, *rows = (ev / "roc.csv").read_text().splitlines()
+        column = header.split(",").index("coord_buildings")
+        assert len(rows) == 50
+        for row in rows:
+            cells = row.split(",")
+            assert float(cells[column]) == pct(float(cells[0]))
 
     def test_localize_metadata_echoes_defaults(self, mini_pipeline):
         meta = json.loads((mini_pipeline / "loc" / "localize_meta.json").read_text())
@@ -297,6 +338,42 @@ class TestErrorHandling:
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", ["150", "-10", "nan"])
+    def test_percentiles_outside_0_100_are_exit_2(self, mini_pipeline, tmp_path, capsys,
+                                                  value):
+        assert run("evaluate", "--estimates", mini_pipeline / "loc" / "estimates.jsonl",
+                   "--gt-poses", mini_pipeline / "gen" / "poses.jsonl",
+                   f"--percentiles={value}", "--out", tmp_path / "eval") == 2
+        assert f"percentile {float(value)} is outside [0, 100]" in capsys.readouterr().err
+        assert not (tmp_path / "eval" / "report.json").exists()
+
+    @pytest.mark.parametrize("stage, flag, value, least", [
+        ("generate", "--poses", -1, 0), ("fit-map", "--max-points-per-frame", -2, 0),
+        ("localize", "--max-corrs", -5, 0), ("render", "--threads", 0, 1),
+        ("generate", "--threads", 0, 1),
+    ])
+    def test_negative_counts_are_exit_2(self, mini_pipeline, tmp_path, capsys, stage, flag,
+                                        value, least):
+        # unchecked, a negative cap would drop that many random items
+        out = tmp_path / "out"
+        inputs = {
+            "generate": ["--buildings", 2, "--grid", "2x2"],
+            "render": ["--scene", mini_pipeline / "gen" / "scene.json",
+                       "--poses", mini_pipeline / "gen" / "poses.jsonl", "--dims", "64x32"],
+            "fit-map": ["--frames", mini_pipeline / "frames"],
+            "localize": ["--frames", mini_pipeline / "pred", "--map", mini_pipeline / "map.json"],
+        }[stage]
+        assert run(stage, *inputs, flag, value, "--out", out) == 2
+        assert f"{flag} must be at least {least}, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_count_from_config_is_exit_2(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"max-corrs": -5}))
+        assert run("localize", "--frames", tmp_path, "--map", tmp_path / "map.json",
+                   "--config", config, "--out", tmp_path / "out") == 2
+        assert "--max-corrs must be at least 0, got -5" in capsys.readouterr().err
+
     def test_generate_needs_preset_or_buildings(self, tmp_path):
         assert run("generate", "--poses", 2, "--out", tmp_path) == 2
 
@@ -454,6 +531,20 @@ class TestFitMapInputs:
         assert run("fit-map", "--cloud", cloud, flag, value, "--out", out) == 2
         assert f"{flag} acts only on --frames" in capsys.readouterr().err
         assert not out.parent.exists()
+
+    def test_cloud_names_the_config_key_and_its_fix(self, tmp_path, rng, capsys):
+        # a pipeline-wide config's top-level seed reaches fit-map too; with
+        # --cloud it is rejected, and a fit-map section sets it back
+        cloud = tmp_path / "cloud.ply"
+        fileio.save_ply(cloud, rng.normal(size=(30, 3)), np.full(30, 1000, dtype=np.uint32))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 7}))
+        out = tmp_path / "out" / "map.json"
+        assert run("fit-map", "--cloud", cloud, "--config", config, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert f"config {config} sets 'seed'" in err and '"fit-map": {"seed": 0}' in err
+        config.write_text(json.dumps({"seed": 7, "fit-map": {"seed": 0}}))
+        assert run("fit-map", "--cloud", cloud, "--config", config, "--out", out) == 0
 
     def test_cloud_accepts_threads(self, tmp_path, rng):
         cloud = tmp_path / "cloud.ply"

@@ -1,14 +1,16 @@
+import re
+
 from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from panoloc.evaluation import (EmptyMetricsError, coord_accuracy, coord_distances,
-                                distance_roc, error_curves, pose_metrics, roc_percentages)
+from panoloc.evaluation import (EmptyMetricsError, coord_distances, coord_metrics, error_curves,
+                                percentile_linear, pose_metrics, roc_percentages)
 from panoloc.images import SceneCoordinateImage
 
 
 def brute_force_coord_metrics(pred, gt):
-    """Scalar-loop oracle for coord_accuracy."""
+    """Scalar-loop oracle for coord_metrics over coord_distances."""
     h, w, _ = gt.shape
     n_valid = 0
     hits = [0, 0, 0]
@@ -44,7 +46,7 @@ def random_pair(rng, h=6, w=12, noise=1.0):
 class TestCoordAccuracy:
     def test_perfect_prediction(self, rng):
         pred, gt = random_pair(rng, noise=0.0)
-        m = coord_accuracy(gt, gt)
+        m = coord_metrics(*coord_distances(gt, gt))
         assert (m.pct_within_0_5m, m.pct_within_1m, m.pct_within_3m) == (100.0, 100.0, 100.0)
         assert m.mean_dist_within_3m == 0.0
 
@@ -54,7 +56,7 @@ class TestCoordAccuracy:
         pred = gt.copy()
         pred[0, :, 0] += 0.4  # half the pixels at 0.4 m
         pred[1, :, 0] += 2.0  # half at 2.0 m
-        m = coord_accuracy(SceneCoordinateImage(pred), SceneCoordinateImage(gt))
+        m = coord_metrics(*coord_distances(SceneCoordinateImage(pred), SceneCoordinateImage(gt)))
         assert m.pct_within_0_5m == 50.0
         assert m.pct_within_1m == 50.0
         assert m.pct_within_3m == 100.0
@@ -63,7 +65,7 @@ class TestCoordAccuracy:
     def test_matches_brute_force_oracle(self, rng):
         for _ in range(20):
             pred, gt = random_pair(rng)
-            m = coord_accuracy(pred, gt)
+            m = coord_metrics(*coord_distances(pred, gt))
             (pcts, mean3, n_valid) = brute_force_coord_metrics(pred.coords, gt.coords)
             assert m.pct_within_0_5m == pcts[0]
             assert m.pct_within_1m == pcts[1]
@@ -75,7 +77,7 @@ class TestCoordAccuracy:
         gt = np.zeros((1, 2, 3))
         pred = gt.copy()
         pred[0, 0] = np.nan
-        m = coord_accuracy(SceneCoordinateImage(pred), SceneCoordinateImage(gt))
+        m = coord_metrics(*coord_distances(SceneCoordinateImage(pred), SceneCoordinateImage(gt)))
         assert m.pct_within_3m == 50.0
         assert m.n_valid == 2
 
@@ -83,16 +85,16 @@ class TestCoordAccuracy:
         gt = SceneCoordinateImage(np.full((1, 2, 3), np.nan))
         pred = SceneCoordinateImage(np.zeros((1, 2, 3)))
         with pytest.raises(EmptyMetricsError):
-            coord_accuracy(pred, gt)
+            coord_metrics(*coord_distances(pred, gt))
 
     def test_pixel_permutation_invariant(self, rng):
         pred, gt = random_pair(rng)
-        m = coord_accuracy(pred, gt)
+        m = coord_metrics(*coord_distances(pred, gt))
         perm = rng.permutation(pred.coords.shape[0] * pred.coords.shape[1])
         shape = pred.coords.shape
         pred_p = SceneCoordinateImage(pred.coords.reshape(-1, 3)[perm].reshape(shape))
         gt_p = SceneCoordinateImage(gt.coords.reshape(-1, 3)[perm].reshape(shape))
-        mp = coord_accuracy(pred_p, gt_p)
+        mp = coord_metrics(*coord_distances(pred_p, gt_p))
         assert m == mp
 
 
@@ -131,6 +133,18 @@ class TestPoseMetrics:
             pose_metrics([])
 
 
+class TestPercentileLinear:
+    def test_ends_are_the_least_and_the_largest(self):
+        assert percentile_linear([3.0, 1.0, 2.0], 0) == 1.0
+        assert percentile_linear([3.0, 1.0, 2.0], 100) == 3.0
+
+    @pytest.mark.parametrize("q", [-10.0, 150.0, float("nan")])
+    def test_outside_0_100_raises_naming_the_value(self, q):
+        # unchecked, -10 would read x[-1], the largest value, and 150 past the end
+        with pytest.raises(ValueError, match=re.escape(f"percentile {q} is outside [0, 100]")):
+            percentile_linear([3.0, 1.0, 2.0], q)
+
+
 class TestErrorCurves:
     def test_sorted_input_idempotent(self):
         errors = [(1.0, 0.1), (2.0, 0.2), (3.0, 0.3)]
@@ -153,13 +167,14 @@ class TestErrorCurves:
 class TestDistanceRoc:
     def test_perfect_prediction_everywhere_100(self, rng):
         _, gt = random_pair(rng, noise=0.0)
-        grid, pct = distance_roc(gt, gt, [0.1, 0.5, 1.0, 3.0])
+        pct = roc_percentages(*coord_distances(gt, gt), [0.1, 0.5, 1.0, 3.0])
         assert np.all(pct == 100.0)
 
-    def test_consistent_with_coord_accuracy(self, rng):
+    def test_consistent_with_coord_metrics(self, rng):
         pred, gt = random_pair(rng)
-        m = coord_accuracy(pred, gt)
-        _, pct = distance_roc(pred, gt, [0.5, 1.0, 3.0])
+        dist, n_valid = coord_distances(pred, gt)
+        m = coord_metrics(dist, n_valid)
+        pct = roc_percentages(dist, n_valid, [0.5, 1.0, 3.0])
         assert pct[0] == m.pct_within_0_5m
         assert pct[1] == m.pct_within_1m
         assert pct[2] == m.pct_within_3m
@@ -167,7 +182,7 @@ class TestDistanceRoc:
     def test_monotone_and_matches_oracle(self, rng):
         pred, gt = random_pair(rng)
         grid = np.linspace(0.1, 5.0, 25)
-        _, pct = distance_roc(pred, gt, grid)
+        pct = roc_percentages(*coord_distances(pred, gt), grid)
         assert np.all(np.diff(pct) >= 0.0)
         # scalar-loop oracle at one threshold
         h, w, _ = gt.coords.shape
@@ -189,8 +204,8 @@ class TestDistanceRoc:
         dists = [coord_distances(pred, gt) for pred, gt in frames]
         pooled = roc_percentages(np.concatenate([d for d, _ in dists]),
                                  sum(n for _, n in dists), grid)
-        weighted = sum(distance_roc(pred, gt, grid)[1] * n for (pred, gt), (_, n)
-                       in zip(frames, dists)) / sum(n for _, n in dists)
+        weighted = sum(roc_percentages(d, n, grid) * n for d, n in dists) \
+            / sum(n for _, n in dists)
         assert np.allclose(pooled, weighted, rtol=1e-12)
         with pytest.raises(EmptyMetricsError):
             roc_percentages(np.empty(0), 0, grid)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import gradient_close, numeric_gradient, random_pose
+from conftest import camera_to_world, gradient_close, numeric_gradient, random_pose, whiten_image
 from panoloc.geometry import image_bearings
 from panoloc.images import LabelImage, SceneCoordinateImage
 from panoloc.instance_map import build_instance_map
@@ -20,7 +20,7 @@ def random_coord_image(rng, pose=None, invalid_fraction=0.2):
         pose = random_pose(rng)
     depth = rng.uniform(3.0, 30.0, (H, W, 1))
     cam = bearings * depth
-    coords = pose.camera_to_world(cam.reshape(-1, 3)).reshape(H, W, 3)
+    coords = camera_to_world(pose, cam.reshape(-1, 3)).reshape(H, W, 3)
     coords += rng.normal(scale=0.5, size=coords.shape)
     drop = rng.uniform(size=(H, W)) < invalid_fraction
     coords[drop] = np.nan
@@ -30,7 +30,7 @@ def random_coord_image(rng, pose=None, invalid_fraction=0.2):
 def scale_depths(image, pose, factor):
     """Move every valid prediction along its own camera ray by ``factor``."""
     cam = pose.world_to_camera(image.coords.reshape(-1, 3))
-    out = pose.camera_to_world(cam * factor).reshape(image.coords.shape)
+    out = camera_to_world(pose, cam * factor).reshape(image.coords.shape)
     return SceneCoordinateImage(out)
 
 
@@ -44,7 +44,7 @@ class TestL1Repr:
         bearings = image_bearings(W, H)
         pose = random_pose(rng)
         depth = rng.uniform(1.0, 100.0, (H, W, 1))
-        coords = pose.camera_to_world((bearings * depth).reshape(-1, 3)).reshape(H, W, 3)
+        coords = camera_to_world(pose, (bearings * depth).reshape(-1, 3)).reshape(H, W, 3)
         value, _ = loss_l1_repr(SceneCoordinateImage(coords), pose, bearings)
         assert value < 1e-9
 
@@ -256,7 +256,7 @@ class TestL5:
         ids = [0, 1, 2, 1000, 1001]
         labels = LabelImage(rng.choice(ids, size=(H, W),
                                        p=[0.1, 0.1, 0.2, 0.3, 0.3]).astype(np.uint32))
-        local_gt = SceneCoordinateImage(imap.whiten_image(gt.coords, labels.labels))
+        local_gt = SceneCoordinateImage(whiten_image(imap, gt.coords, labels.labels))
         jitter = rng.normal(scale=0.3, size=local_gt.coords.shape)
         local_pred = SceneCoordinateImage(local_gt.coords + jitter)
         logits = LogitImage(rng.normal(size=(H, W, 5)), np.array(ids))

@@ -1,4 +1,3 @@
-from dataclasses import replace
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -9,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.stats import chisquare
 
-from conftest import random_pose, synthetic_corrs
+from conftest import camera_to_world, random_pose, synthetic_corrs
 from panoloc import pnp
 from panoloc.geometry import Pose, quaternion_to_rotation, relative_pose_errors
 from panoloc.pnp import (Correspondences, DegenerateConfigError, NoConsensusError,
@@ -30,7 +29,7 @@ class TestEpnpBearing:
         pts = rng.uniform(-10, 10, (6, 3)) + np.array([0.0, 0.0, 20.0])
         bearings = pts / np.linalg.norm(pts, axis=1, keepdims=True)
         est = epnp_bearing(Correspondences(bearings, pts))
-        dist, angle = relative_pose_errors(est, Pose.identity())
+        dist, angle = relative_pose_errors(est, Pose(np.eye(3), np.zeros(3)))
         assert math.radians(angle) < 1e-6
         assert np.linalg.norm(est.translation) < 1e-6
 
@@ -215,20 +214,24 @@ class TestRansac:
             assert angle < 0.1
             assert est.inlier_indices.size >= 170
 
-    def test_defaults_recorded_in_estimate(self, rng):
-        pose = random_pose(rng)
-        corrs = synthetic_corrs(pose, 50, rng)
-        est = ransac_pnp(corrs)
-        assert est.config.iterations == 1000
-        assert est.config.inlier_threshold_deg == 0.22
+    def test_default_config_when_none_given(self, rng, monkeypatch):
+        # no config means RansacConfig(): 1000 draws of 4 points at seed 0
+        assert RansacConfig() == RansacConfig(iterations=1000, inlier_threshold_deg=0.22,
+                                              min_sample=4, seed=0)
+        draws, draw = [], pnp._draw_samples
+        monkeypatch.setattr(pnp, "_draw_samples", lambda *args: draws.append(args) or draw(*args))
+        est = ransac_pnp(synthetic_corrs(random_pose(rng), 50, rng))
+        assert draws == [(0, 1000, 50, 4)]
+        assert est.inlier_indices.size == 50
 
     def test_mean_inlier_residual_below_threshold(self, rng):
         pose = random_pose(rng)
         corrs = synthetic_corrs(pose, 200, rng)
         noisy = Correspondences(corrs.bearings,
                                 corrs.world_points + rng.normal(scale=0.01, size=(200, 3)))
-        est = ransac_pnp(noisy, RansacConfig(iterations=100, seed=2))
-        assert est.mean_inlier_angle_deg <= est.config.inlier_threshold_deg
+        cfg = RansacConfig(iterations=100, seed=2)
+        est = ransac_pnp(noisy, cfg)
+        assert est.mean_inlier_angle_deg <= cfg.inlier_threshold_deg
 
     def test_bit_identical_reruns(self, rng):
         pose = random_pose(rng)
@@ -291,7 +294,8 @@ class TestRansac:
         monkeypatch.setattr(pnp, "_solve_epnp", scalar)
         pose = random_pose(rng)
         corrs = synthetic_corrs(pose, 100, rng, planar=True)
-        est = ransac_pnp(corrs, RansacConfig(iterations=200, seed=6, refit_on_inliers=False))
+        monkeypatch.setattr(pnp, "_REFIT_WIDENING", ())  # the minimal model itself
+        est = ransac_pnp(corrs, RansacConfig(iterations=200, seed=6))
         assert sum(sizes) == 200
         dist, angle = relative_pose_errors(est.pose, pose)
         assert dist < 1e-4 and angle < 0.01
@@ -322,11 +326,11 @@ class TestRansac:
         with pytest.raises(ValueError):
             ransac_pnp(corrs)
 
-    def test_refit_flag_off_keeps_minimal_model(self, rng):
+    def test_without_refits_keeps_minimal_model(self, rng, monkeypatch):
         pose = random_pose(rng)
         corrs = synthetic_corrs(pose, 80, rng)
-        cfg = RansacConfig(iterations=50, seed=5, refit_on_inliers=False)
-        est = ransac_pnp(corrs, cfg)
+        monkeypatch.setattr(pnp, "_REFIT_WIDENING", ())
+        est = ransac_pnp(corrs, RansacConfig(iterations=50, seed=5))
         dist, angle = relative_pose_errors(est.pose, pose)
         assert dist < 1e-4 and angle < 0.01
 
@@ -334,7 +338,9 @@ class TestRansac:
         pose = random_pose(rng)
         corrs = synthetic_corrs(pose, 80, rng)
         cfg = RansacConfig(iterations=50, seed=5)
-        hypothesis = ransac_pnp(corrs, replace(cfg, refit_on_inliers=False))
+        with monkeypatch.context() as patch:
+            patch.setattr(pnp, "_REFIT_WIDENING", ())
+            hypothesis = ransac_pnp(corrs, cfg)
         # 5 cm off: far points stay inliers, near ones do not
         worse = Pose(pose.rotation, pose.translation + 0.05)
         assert 0 < (angular_residuals(worse, corrs) < cfg.inlier_threshold_deg).sum() < 80
@@ -352,7 +358,9 @@ class TestRansac:
         noisy = Correspondences(base.bearings,
                                 base.world_points + rng.normal(scale=0.1, size=(300, 3)))
         cfg = RansacConfig(iterations=200, seed=7, inlier_threshold_deg=0.3)
-        hypothesis = ransac_pnp(noisy, replace(cfg, refit_on_inliers=False))
+        with monkeypatch.context() as patch:
+            patch.setattr(pnp, "_REFIT_WIDENING", ())
+            hypothesis = ransac_pnp(noisy, cfg)
         sizes = []
         solve = pnp.epnp_bearing
         monkeypatch.setattr(pnp, "epnp_bearing",
@@ -372,11 +380,13 @@ class TestRansac:
            iterations=st.integers(1, 700), outlier_share=st.floats(0.0, 0.6),
            noise=st.sampled_from([0.0, 1e-3, 0.05]),
            threshold=st.sampled_from([0.05, 0.22, 1.0, 10.0]))
+    @mock.patch.object(pnp, "_REFIT_WIDENING", ())
     def test_matches_exhaustive_oracle(self, seed, n, iterations, outlier_share, noise,
                                        threshold):
         # every hypothesis scored through angular_residuals and picked by
         # (count, mean, index); few points and many iterations repeat
-        # samples, so counts, means and whole poses tie
+        # samples, so counts, means and whole poses tie; no refits, so the
+        # estimate is the winning hypothesis
         rng = np.random.default_rng(seed)
         pose = random_pose(rng)
         clean = synthetic_corrs(pose, n, rng)
@@ -385,7 +395,7 @@ class TestRansac:
         pts[bad] = rng.uniform(-60.0, 60.0, (int(bad.sum()), 3))
         corrs = Correspondences(clean.bearings, pts)
         cfg = RansacConfig(iterations=iterations, inlier_threshold_deg=threshold,
-                           seed=seed % 1000, refit_on_inliers=False)
+                           seed=seed % 1000)
 
         samples = pnp._draw_samples(cfg.seed, iterations, n, cfg.min_sample)
         ok, rots, ts = pnp._solve_p3p_batch(corrs.world_points[samples],
@@ -454,13 +464,13 @@ class TestBatchedMinimalSolver:
             a, b = rng.uniform(-0.5, 1.5, 2)
             cam[3] = cam[0] + a * (cam[1] - cam[0]) + b * (cam[2] - cam[0])
             assume(1.0 <= np.linalg.norm(cam[3]) <= 200.0)
-        pts = pose.camera_to_world(cam)
+        pts = camera_to_world(pose, cam)
         brs = cam / np.linalg.norm(cam, axis=1, keepdims=True)
         assume(well_conditioned(pts, brs))
 
-        valid, rots, ts = pnp._p3p_candidates(pts[None], brs[None])
-        assert valid[0].any()
-        res = _residuals(rots[0, valid[0]], ts[0, valid[0]], pts, brs)
+        slots, rot, t = pnp._p3p_slots(pts[None], brs[None])
+        assert slots.size and (slots < 4).all()
+        res = _residuals(np.moveaxis(rot, 2, 0), t.T, pts, brs)
         assert res.max(axis=1).min() < 1e-6
 
     def test_collinear_samples_flagged_degenerate(self, rng):
@@ -522,14 +532,22 @@ class TestBatchedMinimalSolver:
         idx = pnp._draw_samples(3, 64, 100, 4)
         pts, brs = pts[idx], corrs.bearings[idx]
         pts[5, 2] = 0.5 * (pts[5, 0] + pts[5, 1])  # one collinear sample
-        for solve in (pnp._p3p_candidates, pnp._solve_p3p_batch):
-            whole = solve(pts, brs)
-            for size in (1, 7, 64):
-                parts = [solve(pts[lo:lo + size], brs[lo:lo + size])
-                         for lo in range(0, 64, size)]
-                for a, pieces in zip(whole, zip(*parts)):
-                    assert np.array_equal(a, np.concatenate(pieces), equal_nan=True)
+        slots, rot, t = pnp._p3p_slots(pts, brs)
+        whole = pnp._solve_p3p_batch(pts, brs)
+        for size in (1, 7, 64):
+            starts = range(0, 64, size)
+            parts = [pnp._p3p_slots(pts[lo:lo + size], brs[lo:lo + size]) for lo in starts]
+            # a part's slots count from its own first sample
+            assert np.array_equal(slots, np.concatenate([s + 4 * lo for (s, _, _), lo
+                                                         in zip(parts, starts)]))
+            assert np.array_equal(rot, np.concatenate([r for _, r, _ in parts], axis=2))
+            assert np.array_equal(t, np.concatenate([tt for _, _, tt in parts], axis=1))
+            parts = [pnp._solve_p3p_batch(pts[lo:lo + size], brs[lo:lo + size])
+                     for lo in starts]
+            for a, pieces in zip(whole, zip(*parts)):
+                assert np.array_equal(a, np.concatenate(pieces))
         assert not whole[0][5] and whole[0].sum() > 10
+        assert not (slots >> 2 == 5).any()
 
 
 class TestSampleDraws:
@@ -564,7 +582,7 @@ def points_at_angles(pose, angles_deg, depths, rng):
     perp = np.cross(dirs, rng.normal(size=(n, 3)))
     perp /= np.linalg.norm(perp, axis=1, keepdims=True)
     alpha = np.radians(np.asarray(angles_deg))[:, None]
-    pts = pose.camera_to_world(dirs * np.asarray(depths)[:, None])
+    pts = camera_to_world(pose, dirs * np.asarray(depths)[:, None])
     return pts, np.cos(alpha) * dirs + np.sin(alpha) * perp
 
 

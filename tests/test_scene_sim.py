@@ -97,7 +97,7 @@ class TestGenerateCity:
 
     def test_labels_globally_unique(self):
         scene = generate_city(50, (8, 8), seed=5)
-        labels = scene.labels()
+        labels = scene.box_labels.tolist()
         assert len(set(labels)) == 50
         assert min(labels) >= 1000
 
@@ -538,8 +538,8 @@ class TestRemoveBuildings:
         scene = generate_city(102, (13, 12), seed=7)
         kept = remove_buildings(scene, 0.2, seed=1)
         assert len(kept.buildings) == 82
-        survivors = set(kept.labels())
-        assert survivors <= set(scene.labels())
+        survivors = set(kept.box_labels.tolist())
+        assert survivors <= set(scene.box_labels.tolist())
 
     def test_zero_fraction_identity(self):
         scene = generate_city(20, (5, 5), seed=2)
@@ -550,12 +550,12 @@ class TestRemoveBuildings:
         scene = generate_city(50, (8, 8), seed=3)
         a = remove_buildings(scene, 0.2, seed=9)
         b = remove_buildings(scene, 0.2, seed=9)
-        assert a.labels() == b.labels()
+        assert a.box_labels.tolist() == b.box_labels.tolist()
 
     def test_renders_never_show_removed_labels(self):
         scene = generate_city(40, (8, 8), seed=4)
         kept = remove_buildings(scene, 0.2, seed=5)
-        removed = set(scene.labels()) - set(kept.labels())
+        removed = set(scene.box_labels.tolist()) - set(kept.box_labels.tolist())
         _, pose = sample_trajectory(scene, 1, seed=6)[0]
         _, labels = raycast_render(kept, pose, DIMS)
         assert not (set(np.unique(labels.labels)) & removed)
