@@ -13,8 +13,10 @@ workload: 500 points, 30% outliers, 4000 iterations, a 0.6 degree
 threshold. The P3P row times the minimal solves of that noisy-sparse run
 alone, a chunk of ``_HYPOTHESIS_CHUNK`` samples at a time, and counts the
 candidate slots that reach the Gauss-Newton refinement against the four
-slots of every sample. The localize layer rows split ``ransac_pnp`` at
-5000 points and 1000 iterations into its steps, each timed on the
+slots of every sample. Every sample draws ``pnp._SAMPLE_SIZE`` (4) points,
+as ``ransac_pnp`` does: three for P3P and one to pick its pose. The
+localize layer rows split ``ransac_pnp`` at 5000 points and 1000
+iterations into its steps, each timed on the
 previous step's output: the sample draw, the P3P solves, the prefilter
 bound pass, the exact pass and the three refits. The scene rows time
 ``save_scene``, ``load_scene`` and one 512x256 ``raycast_render`` on the
@@ -146,7 +148,7 @@ def p3p_row(corrs, repeats):
     30% outliers, 4000 iterations), named with the slots refined."""
     cfg = RansacConfig(iterations=4000, inlier_threshold_deg=0.6, seed=1)
     pts, brs = corrs.world_points, corrs.bearings
-    samples = pnp._draw_samples(cfg.seed, cfg.iterations, len(corrs), cfg.min_sample)
+    samples = pnp._draw_samples(cfg.seed, cfg.iterations, len(corrs), pnp._SAMPLE_SIZE)
     chunk = pnp._HYPOTHESIS_CHUNK
 
     def solve():
@@ -171,7 +173,7 @@ def localize_rows(corrs, repeats):
     cfg = RansacConfig(seed=1)
     thr, pts, brs = cfg.inlier_threshold_deg, corrs.world_points, corrs.bearings
     chunks = range(0, cfg.iterations, pnp._HYPOTHESIS_CHUNK)
-    samples = pnp._draw_samples(cfg.seed, cfg.iterations, len(corrs), cfg.min_sample)
+    samples = pnp._draw_samples(cfg.seed, cfg.iterations, len(corrs), pnp._SAMPLE_SIZE)
 
     def solve():
         return [pnp._solve_p3p_batch(pts[samples[lo:lo + pnp._HYPOTHESIS_CHUNK]],
@@ -200,7 +202,7 @@ def localize_rows(corrs, repeats):
     n = len(corrs)
     return [
         (f"localize sample draw, {n} pts", best_of(
-            lambda: pnp._draw_samples(cfg.seed, cfg.iterations, n, cfg.min_sample), repeats)),
+            lambda: pnp._draw_samples(cfg.seed, cfg.iterations, n, pnp._SAMPLE_SIZE), repeats)),
         ("localize p3p solves, 1000 it", best_of(solve, repeats)),
         (f"localize bound pass, {n} pts", best_of(bound, repeats)),
         (f"localize exact pass, {n} pts", best_of(

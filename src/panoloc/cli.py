@@ -6,8 +6,9 @@ writes byte-identical outputs. A flag exists only on the subcommands that
 read it. The per-frame stages work on each frame whole in one thread and
 pool results in frame order, so ``--threads`` (at least 1) never changes
 the bytes; generate and ``fit-map --cloud`` accept it unused. Counts and
-caps (``--poses``, ``--max-points-per-frame``, ``--max-corrs``) are at
-least 0, and ``--percentiles`` takes values in [0, 100]. Flags can also be
+caps (``--buildings``, ``--poses``, ``--max-points-per-frame``,
+``--max-corrs``) are at least 0, and ``--percentiles`` takes values in
+[0, 100]; both are checked before a stage reads any input. Flags can also be
 supplied through a JSON config file (top-level keys and/or per-subcommand
 sections); explicit flags win, and a key that is no flag is bad input. A
 top-level key reaches every subcommand with that flag, ``fit-map --cloud``
@@ -17,6 +18,7 @@ consensus on any frame.
 
 import argparse
 import ctypes
+from dataclasses import asdict
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import evaluation, fileio, scene_sim
 from .fileio import load_poses_jsonl
-from .geometry import image_bearings, relative_pose_errors
+from .geometry import _check_dims, image_bearings, relative_pose_errors
 from .instance_map import build_instance_map
 from .pnp import Correspondences, NoConsensusError, RansacConfig, ransac_pnp
 
@@ -39,14 +41,13 @@ class InputError(ValueError):
     """Bad or missing command input (exit code 2)."""
 
 
-def _parse_dims(text: str):
+def _parse_pair(text: str, flag: str):
+    """The two integers of an ``AxB`` flag value such as ``--dims 512x256``."""
     try:
-        width, height = (int(x) for x in text.lower().split("x"))
+        a, b = (int(x) for x in text.lower().split("x"))
     except ValueError as exc:
-        raise InputError(f"bad dims {text!r}, expected WxH") from exc
-    if width != 2 * height:
-        raise InputError(f"dims must satisfy W = 2H, got {text}")
-    return width, height
+        raise InputError(f"bad {flag} {text!r}, expected two integers AxB") from exc
+    return a, b
 
 
 def _require(path, kind: str) -> Path:
@@ -64,14 +65,17 @@ def _write_meta(out_dir: Path, command: str, args: argparse.Namespace) -> None:
     fileio.save_json(out_dir / f"{command.replace('-', '_')}_meta.json", meta, default=str)
 
 
-def _check_counts(args) -> None:
-    """Reject a count below its least value; a negative cap would drop items."""
+def _check_flags(args) -> None:
+    """Reject a count below its least value and a percentile outside [0, 100]."""
     # render's --poses is a file name, not a count
-    for dest, least in (("threads", 1), ("poses", 0), ("max_points_per_frame", 0),
-                        ("max_corrs", 0)):
+    for dest, least in (("threads", 1), ("buildings", 0), ("poses", 0),
+                        ("max_points_per_frame", 0), ("max_corrs", 0)):
         value = getattr(args, dest, None)
         if isinstance(value, int) and value < least:
             raise InputError(f"--{dest.replace('_', '-')} must be at least {least}, got {value}")
+    for q in (float(p) for p in getattr(args, "percentiles", "").split(",") if p):
+        if not 0.0 <= q <= 100.0:  # NaN fails too
+            raise InputError(f"--percentiles: percentile {q} is outside [0, 100]")
 
 
 def _map_frames(work, items, threads: int) -> list:
@@ -97,8 +101,6 @@ def _subsample(n: int, cap: int, seed: int, stream: int):
 
 
 def cmd_generate(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.preset:
         preset = scene_sim.SMALL_CITY if args.preset == "small" else scene_sim.LARGE_CITY
         n_buildings, grid = preset["n_buildings"], preset["grid_dims"]
@@ -106,10 +108,11 @@ def cmd_generate(args) -> int:
         if args.buildings is None:
             raise InputError("either --preset or --buildings is required")
         n_buildings = args.buildings
-        grid = tuple(int(x) for x in args.grid.lower().split("x"))
+        grid = _parse_pair(args.grid, "--grid")
     scene = scene_sim.generate_city(n_buildings, grid, seed=args.seed)
-    frames = scene_sim.sample_trajectory(scene, args.poses, seed=args.seed,
-                                         height=args.camera_height)
+    frames = scene_sim.sample_trajectory(scene, args.poses, seed=args.seed)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     fileio.save_scene(out_dir / "scene.json", scene)
     fileio.save_poses_jsonl(out_dir / "poses.jsonl", frames)
     _write_meta(out_dir, "generate", args)
@@ -121,7 +124,8 @@ def cmd_generate(args) -> int:
 def cmd_render(args) -> int:
     scene = fileio.load_scene(_require(args.scene, "scene file"))
     poses = load_poses_jsonl(_require(args.poses, "pose file"))
-    dims = _parse_dims(args.dims)
+    dims = _parse_pair(args.dims, "--dims")
+    _check_dims(*dims)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -218,7 +222,7 @@ def cmd_localize(args) -> int:
         bearings = image_bearings(coords.width, coords.height)
         corrs = Correspondences(bearings[rows, cols], coords.coords[rows, cols])
         cfg = RansacConfig(iterations=args.iterations, inlier_threshold_deg=args.threshold_deg,
-                           min_sample=args.min_sample, seed=args.seed + index)
+                           seed=args.seed + index)
         try:
             est = ransac_pnp(corrs, cfg)
         except NoConsensusError as exc:
@@ -254,7 +258,7 @@ def cmd_evaluate(args) -> int:
             raise InputError(f"estimate frame {frame} has no ground-truth pose")
         errors.append(relative_pose_errors(pose, gt_poses[frame]))
 
-    percentiles = [float(p) for p in args.percentiles.split(",") if p] if args.percentiles else []
+    percentiles = [float(p) for p in args.percentiles.split(",") if p]
     report = {"conventions": dict(evaluation.CONVENTIONS),
               "frames": {"evaluated": len(errors), "failed": n_failed}}
     if errors:
@@ -279,8 +283,8 @@ def cmd_evaluate(args) -> int:
         for key, parts in zip(("coord", "coord_buildings"), zip(*chunks)):
             dist = np.concatenate(parts)
             if dist.size:
-                report[key] = evaluation.coord_metrics(dist, dist.size).as_dict()
-                columns.append((key, evaluation.roc_percentages(dist, dist.size, _ROC_THRESHOLDS)))
+                report[key] = asdict(evaluation.coord_metrics(dist))
+                columns.append((key, evaluation.roc_percentages(dist, _ROC_THRESHOLDS)))
         if columns:
             fileio.save_roc_csv(out_dir / "roc.csv", _ROC_THRESHOLDS, columns)
 
@@ -326,7 +330,6 @@ def build_parser():
     p.add_argument("--buildings", type=int, default=None)
     p.add_argument("--grid", type=str, default="13x12", help="block grid GXxGZ")
     p.add_argument("--poses", type=int, default=100)
-    p.add_argument("--camera-height", type=float, default=2.0)
 
     p = add("render", cmd_render, "ray-cast ground-truth frames", seeded=False)
     p.add_argument("--scene", type=str, required=True)
@@ -352,7 +355,6 @@ def build_parser():
     p.add_argument("--map", type=str, required=True)
     p.add_argument("--iterations", type=int, default=1000)
     p.add_argument("--threshold-deg", type=float, default=0.22)
-    p.add_argument("--min-sample", type=int, default=4)
     p.add_argument("--max-corrs", type=int, default=5000,
                    help="seeded per-frame correspondence cap (0 = no cap)")
 
@@ -448,7 +450,7 @@ def main(argv=None) -> int:
         return 2
     args = parser.parse_args(argv)
     try:
-        _check_counts(args)
+        _check_flags(args)
         return args.func(args)
     except (InputError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

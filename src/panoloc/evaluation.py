@@ -45,15 +45,6 @@ class CoordMetrics:
     mean_dist_within_3m: float
     n_valid: int
 
-    def as_dict(self) -> dict:
-        return {
-            "pct_within_0_5m": self.pct_within_0_5m,
-            "pct_within_1m": self.pct_within_1m,
-            "pct_within_3m": self.pct_within_3m,
-            "mean_dist_within_3m": self.mean_dist_within_3m,
-            "n_valid": self.n_valid,
-        }
-
 
 @dataclass
 class PoseMetrics:
@@ -82,14 +73,11 @@ def coord_distances(pred: SceneCoordinateImage, gt: SceneCoordinateImage):
     """Per-pixel distances over ground-truth-valid pixels, in raster order.
 
     Pixels where the prediction is missing come back infinite.
-    Returns (distances, n_valid).
+    Returns (distances, n_valid), n_valid being their count.
     """
     if pred.coords.shape != gt.coords.shape:
         raise ValueError("prediction and ground truth dims differ")
     idx = np.flatnonzero(gt.mask)
-    n_valid = idx.size
-    if n_valid == 0:
-        return np.empty(0), 0
     # np.take of flat rows gathers ~6x faster than a boolean index into (H, W, 3)
     diff = (np.take(pred.coords.reshape(-1, 3), idx, axis=0)
             - np.take(gt.coords.reshape(-1, 3), idx, axis=0))
@@ -97,12 +85,13 @@ def coord_distances(pred: SceneCoordinateImage, gt: SceneCoordinateImage):
     dist = np.sqrt(diff[:, 0] * diff[:, 0] + diff[:, 1] * diff[:, 1]
                    + diff[:, 2] * diff[:, 2])
     dist[~np.isfinite(dist)] = np.inf
-    return dist, n_valid
+    return dist, dist.size
 
 
-def coord_metrics(dist: np.ndarray, n_valid: int) -> CoordMetrics:
+def coord_metrics(dist: np.ndarray) -> CoordMetrics:
     """Coordinate accuracy from per-pixel distances (see
     :func:`coord_distances`), pooled over one or more frames."""
+    n_valid = dist.size
     if n_valid == 0:
         raise EmptyMetricsError("no overlapping valid pixels to evaluate")
     within3 = dist <= 3.0
@@ -163,14 +152,14 @@ def error_curves(errors):
     return np.sort(arr[:, 0], kind="stable"), np.sort(arr[:, 1], kind="stable")
 
 
-def roc_percentages(dist: np.ndarray, n_valid: int, thresholds) -> np.ndarray:
+def roc_percentages(dist: np.ndarray, thresholds) -> np.ndarray:
     """Cumulative accuracy curve from per-pixel distances (see
     :func:`coord_distances`), pooled over one or more frames: % of the
-    ``n_valid`` pixels within each threshold."""
-    if n_valid == 0:
+    pixels within each threshold."""
+    if dist.size == 0:
         raise EmptyMetricsError("no overlapping valid pixels to evaluate")
     grid = np.asarray(thresholds, dtype=np.float64)
     # the count of d <= t is where t goes right of its equals in sorted order
     within = np.searchsorted(np.sort(dist), grid, side="right")
     within[np.isnan(grid)] = 0  # NaN sorts last, but no d <= NaN
-    return 100.0 * within.astype(np.float64) / n_valid
+    return 100.0 * within.astype(np.float64) / dist.size

@@ -52,7 +52,7 @@ import threading
 
 import numpy as np
 
-from .geometry import Pose, quaternion_to_rotation, rotation_to_quaternion
+from .geometry import Pose, _check_dims, quaternion_to_rotation, rotation_to_quaternion
 from .images import NUM_CLASS_LABELS, LabelImage, SceneCoordinateImage
 from .instance_map import InstanceMap, WhiteningTransform
 from .scene_sim import CityLayout, CityScene
@@ -141,8 +141,8 @@ def _read_image(path, magic, kind, dtype, channels):
         width, height = fields[:2]
         if channels is not None and fields[2] != channels:
             raise ValueError(f"{path}: expected {channels} channels, got {fields[2]}")
-        if height < 1 or width != 2 * height:
-            raise ValueError(f"{path}: dims must be positive with W = 2H, got {width}x{height}")
+        with _named_errors(path, f"{kind} header"):
+            _check_dims(width, height)
         size = width * height * (channels or 1) * 4
         left = os.fstat(fh.fileno()).st_size - fh.tell()
         if left < size:
@@ -259,7 +259,6 @@ def load_instance_map(path) -> InstanceMap:
                 label=label,
                 mean=mean,
                 unwhiten_matrix=unwhiten_matrix,
-                whiten_matrix=np.linalg.inv(unwhiten_matrix),
                 point_count=int(rec["count"]),
             )
         label_count = int(doc.get("label_count", NUM_CLASS_LABELS + len(transforms)))

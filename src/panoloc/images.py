@@ -8,6 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import _check_dims
+
 __all__ = [
     "SceneCoordinateImage",
     "LabelImage",
@@ -35,8 +37,7 @@ class SceneCoordinateImage:
         arr = np.asarray(self.coords, dtype=np.float64)
         if arr.ndim != 3 or arr.shape[2] != 3:
             raise ValueError(f"coords must be (H, W, 3), got {arr.shape}")
-        if arr.shape[1] != 2 * arr.shape[0]:
-            raise ValueError(f"coords must satisfy W = 2H, got {arr.shape[1]}x{arr.shape[0]}")
+        _check_dims(arr.shape[1], arr.shape[0])
         self.coords = arr
 
     @property
@@ -65,8 +66,7 @@ class LabelImage:
         arr = np.asarray(self.labels)
         if arr.ndim != 2:
             raise ValueError(f"labels must be (H, W), got {arr.shape}")
-        if arr.shape[1] != 2 * arr.shape[0]:
-            raise ValueError(f"labels must satisfy W = 2H, got {arr.shape[1]}x{arr.shape[0]}")
+        _check_dims(arr.shape[1], arr.shape[0])
         if np.any(arr < 0):
             raise ValueError("labels must be non-negative")
         self.labels = arr.astype(np.uint32, copy=False)

@@ -9,6 +9,7 @@ near-planar instances).
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 import math
 
 import numpy as np
@@ -41,14 +42,20 @@ class WhiteningTransform:
     label: int
     mean: np.ndarray  # (3,) M
     unwhiten_matrix: np.ndarray  # (3, 3) W
-    whiten_matrix: np.ndarray  # (3, 3) W^-1
     point_count: int
 
     def __post_init__(self):
-        for name in ("mean", "unwhiten_matrix", "whiten_matrix"):
+        for name in ("mean", "unwhiten_matrix"):
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @cached_property
+    def whiten_matrix(self) -> np.ndarray:
+        """(3, 3) W^-1, the same bits for a fitted transform and its reloaded copy."""
+        inverse = np.linalg.inv(self.unwhiten_matrix)
+        inverse.setflags(write=False)
+        return inverse
 
 
 def _exact_mean(points: np.ndarray) -> np.ndarray:
@@ -95,8 +102,7 @@ def fit_whitening(points: np.ndarray, label: int) -> WhiteningTransform:
 
     scales = np.sqrt(np.maximum(eigvals, 0.0) + EIGENVALUE_FLOOR)
     unwhiten_matrix = eigvecs * scales  # U @ diag(scales)
-    whiten_matrix = (eigvecs / scales).T  # diag(1/scales) @ U^T
-    return WhiteningTransform(int(label), mean, unwhiten_matrix, whiten_matrix, pts.shape[0])
+    return WhiteningTransform(int(label), mean, unwhiten_matrix, pts.shape[0])
 
 
 def unwhiten(transform: WhiteningTransform, local: np.ndarray) -> np.ndarray:

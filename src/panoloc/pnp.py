@@ -61,6 +61,8 @@ _COLLINEAR_TOL = 1e-14
 # P3P's first three points are also collinear when |d12 x d13| is within
 # this many u max|x| (|d12| + |d13|), the size coordinate rounding gives it.
 _COLLINEAR_ROUNDING = 64
+# Points in a RANSAC sample: three for P3P, one to pick its pose.
+_SAMPLE_SIZE = 4
 # RANSAC hypotheses solved and bounded per batch: large, as P3P costs numpy
 # call overhead more than arithmetic, yet small enough that the solver's
 # temporaries stay near 1 MB. At the default 1000 iterations one chunk
@@ -126,7 +128,6 @@ class Correspondences:
 class RansacConfig:
     iterations: int = 1000
     inlier_threshold_deg: float = 0.22
-    min_sample: int = 4
     seed: int = 0
 
     def __post_init__(self):
@@ -134,8 +135,6 @@ class RansacConfig:
             raise ValueError("iterations must be >= 1")
         if not 0.0 < self.inlier_threshold_deg < 90.0:
             raise ValueError("inlier threshold must be in (0, 90) degrees")
-        if self.min_sample < 4:
-            raise ValueError("min_sample must be >= 4")
 
 
 @dataclass
@@ -733,12 +732,12 @@ def ransac_pnp(corrs: Correspondences, cfg: RansacConfig = None) -> PoseEstimate
     if cfg is None:
         cfg = RansacConfig()
     n = len(corrs)
-    if n < cfg.min_sample:
-        raise ValueError(f"need at least {cfg.min_sample} correspondences, got {n}")
+    if n < _SAMPLE_SIZE:
+        raise ValueError(f"need at least {_SAMPLE_SIZE} correspondences, got {n}")
 
     pts = corrs.world_points
     brs = corrs.bearings
-    samples = _draw_samples(cfg.seed, cfg.iterations, n, cfg.min_sample)
+    samples = _draw_samples(cfg.seed, cfg.iterations, n, _SAMPLE_SIZE)
 
     lift = _lift_points(pts, brs)
     bounds = np.zeros(cfg.iterations, dtype=np.int64)
@@ -761,9 +760,9 @@ def ransac_pnp(corrs: Correspondences, cfg: RansacConfig = None) -> PoseEstimate
         best_effort = PoseEstimate(Pose(rots[best_it], ts[best_it]), inliers,
                                    float(res[inliers].mean()))
 
-    if best_effort is None or inliers.size < cfg.min_sample + 1:
+    if best_effort is None or inliers.size < _SAMPLE_SIZE + 1:
         raise NoConsensusError(
-            f"no model with more than {cfg.min_sample} inliers after {cfg.iterations} iterations",
+            f"no model with more than {_SAMPLE_SIZE} inliers after {cfg.iterations} iterations",
             estimate=best_effort)
 
     # LO-RANSAC (Chum et al., DAGM 2003; Lebeda et al., BMVC 2012): a refit is

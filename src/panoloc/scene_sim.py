@@ -86,9 +86,20 @@ _CORNER_SIGNS = np.array([[sx, sy, sz]
 # frontage sections (one per block) are reported as road segments.
 SMALL_CITY = {"n_buildings": 102, "grid_dims": (13, 12)}
 LARGE_CITY = {"n_buildings": 827, "grid_dims": (42, 23)}
+# Generated cities (m, rad): block side, street width, half-footprint and
+# height ranges, largest yaw. A footprint's half diagonal, at most 9.19 m,
+# leaves a building at least 0.56 m of its half block to be shifted in.
+_BLOCK = 20.0
+_STREET = 8.0
+_FOOTPRINT = (3.5, 6.5)
+_HEIGHT = (3.0, 15.0)
+_YAW_MAX = 0.3
+# Sampled cameras: height above the street (m) and heading jitter (rad).
+_CAMERA_HEIGHT = 2.0
+_HEADING_JITTER = 0.25
 
 
-class PlacementError(RuntimeError):
+class PlacementError(ValueError):
     """City generation could not place the requested buildings."""
 
 
@@ -282,10 +293,7 @@ class NoiseModel:
 # ---------------------------------------------------------------------------
 
 
-def generate_city(n_buildings: int, grid_dims=(13, 12), seed: int = 0, *,
-                  block: float = 20.0, street: float = 8.0,
-                  footprint=(3.5, 6.5), height=(3.0, 15.0),
-                  yaw_max: float = 0.3) -> CityScene:
+def generate_city(n_buildings: int, grid_dims=(13, 12), seed: int = 0) -> CityScene:
     """Procedural street-grid city, deterministic per seed.
 
     Buildings occupy distinct blocks of an axis-aligned street grid with
@@ -297,34 +305,31 @@ def generate_city(n_buildings: int, grid_dims=(13, 12), seed: int = 0, *,
     if n_buildings > n_blocks:
         raise PlacementError(
             f"cannot place {n_buildings} buildings on a {gx}x{gz} grid ({n_blocks} blocks)")
-    if footprint[1] * math.sqrt(2.0) >= block / 2.0:
-        raise PlacementError("footprint range too large for the block size")
 
-    layout = CityLayout((int(gx), int(gz)), float(block), float(street))
+    layout = CityLayout((int(gx), int(gz)), _BLOCK, _STREET)
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
     chosen = np.sort(rng.permutation(n_blocks)[:n_buildings])
 
     boxes = np.empty((n_buildings, 7))
     for k, blk in enumerate(chosen):
         bx, bz = layout.block_center(int(blk))
-        hx = rng.uniform(footprint[0], footprint[1])
-        hz = rng.uniform(footprint[0], footprint[1])
-        hy = rng.uniform(height[0], height[1])
-        yaw = rng.uniform(-yaw_max, yaw_max) if yaw_max > 0.0 else 0.0
-        margin = block / 2.0 - math.hypot(hx, hz) - 0.25
-        ox = rng.uniform(-margin, margin) if margin > 0.0 else 0.0
-        oz = rng.uniform(-margin, margin) if margin > 0.0 else 0.0
+        hx = rng.uniform(*_FOOTPRINT)
+        hz = rng.uniform(*_FOOTPRINT)
+        hy = rng.uniform(*_HEIGHT)
+        yaw = rng.uniform(-_YAW_MAX, _YAW_MAX)
+        margin = _BLOCK / 2.0 - math.hypot(hx, hz) - 0.25
+        ox = rng.uniform(-margin, margin)
+        oz = rng.uniform(-margin, margin)
         boxes[k] = (bx + ox, hy, bz + oz, hx, hy, hz, yaw)
     return CityScene(boxes, FIRST_INSTANCE_LABEL + np.arange(n_buildings), n_blocks,
                      int(seed), layout)
 
 
-def sample_trajectory(scene: CityScene, n_poses: int, seed: int = 0, *,
-                      height: float = 2.0, heading_jitter: float = 0.25) -> list:
+def sample_trajectory(scene: CityScene, n_poses: int, seed: int = 0) -> list:
     """[(frame_id, Pose)] cameras near road-segment centres.
 
     Cameras sit on street centrelines (buildings never reach them), at
-    ``height`` above ground, heading along the street with seeded jitter.
+    ``_CAMERA_HEIGHT`` above ground, heading along the street with seeded jitter.
     """
     if scene.layout is None:
         raise ValueError("scene carries no layout; trajectories are sampled at generation time")
@@ -336,10 +341,10 @@ def sample_trajectory(scene: CityScene, n_poses: int, seed: int = 0, *,
         seg = int(rng.integers(0, n_segments))
         x, z = layout.segment_center(seg)
         x += rng.uniform(-0.4, 0.4) * layout.block
-        heading = math.pi / 2.0 + rng.uniform(-heading_jitter, heading_jitter)
+        heading = math.pi / 2.0 + rng.uniform(-_HEADING_JITTER, _HEADING_JITTER)
         if rng.integers(0, 2):
             heading += math.pi
-        frames.append((f"{i:06d}", heading_pose(np.array([x, height, z]), heading)))
+        frames.append((f"{i:06d}", heading_pose(np.array([x, _CAMERA_HEIGHT, z]), heading)))
     return frames
 
 

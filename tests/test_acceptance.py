@@ -394,8 +394,8 @@ def test_criterion_09_metric_oracles(rng):
         pred_img, gt_img = SceneCoordinateImage(pred), SceneCoordinateImage(gt)
 
         od = oracle_coord(pred_img, gt_img)
-        dist, n_valid = coord_distances(pred_img, gt_img)
-        m = coord_metrics(dist, n_valid)
+        dist = coord_distances(pred_img, gt_img)[0]
+        m = coord_metrics(dist)
         within3 = od[od <= 3.0]
         all_ok &= m.pct_within_0_5m == 100.0 * (od <= 0.5).sum() / od.size
         all_ok &= m.pct_within_1m == 100.0 * (od <= 1.0).sum() / od.size
@@ -404,7 +404,7 @@ def test_criterion_09_metric_oracles(rng):
         all_ok &= m.n_valid == od.size
 
         grid = [0.25, 0.5, 1.0, 2.0, 3.0]
-        pct = roc_percentages(dist, n_valid, grid)
+        pct = roc_percentages(dist, grid)
         for t, p in zip(grid, pct):
             all_ok &= p == 100.0 * (od <= t).sum() / od.size
 

@@ -3,6 +3,8 @@ import json
 import math
 import os
 from pathlib import Path
+import re
+import shlex
 import subprocess
 import sys
 
@@ -11,7 +13,7 @@ import pytest
 
 import panoloc
 from panoloc import fileio
-from panoloc.cli import main
+from panoloc.cli import build_parser, main
 from panoloc.fileio import load_poses_jsonl
 from panoloc.geometry import relative_pose_errors
 
@@ -347,6 +349,50 @@ class TestErrorHandling:
         assert f"percentile {float(value)} is outside [0, 100]" in capsys.readouterr().err
         assert not (tmp_path / "eval" / "report.json").exists()
 
+    def test_percentiles_are_checked_when_every_frame_failed(self, mini_pipeline, tmp_path,
+                                                            capsys):
+        # with no pose to take a percentile of, the value must still be checked
+        estimates = tmp_path / "estimates.jsonl"
+        fileio.save_estimates_jsonl(estimates, [("000000", None, 0, math.nan, "no consensus")])
+        assert run("evaluate", "--estimates", estimates,
+                   "--gt-poses", mini_pipeline / "gen" / "poses.jsonl",
+                   "--percentiles", "150", "--out", tmp_path / "eval") == 2
+        assert "percentile 150.0 is outside [0, 100]" in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--buildings", "-1"], "--buildings must be at least 0, got -1"),
+        (["--buildings", "2", "--grid", "3"], "bad --grid '3', expected two integers AxB"),
+        (["--buildings", "2", "--grid", "axb"], "bad --grid 'axb', expected two integers AxB"),
+        (["--buildings", "2", "--grid", "0x0"], "cannot place 2 buildings on a 0x0 grid"),
+        (["--buildings", "5", "--grid", "2x2"], "cannot place 5 buildings on a 2x2 grid"),
+    ], ids=["negative-buildings", "grid-one-number", "grid-not-int", "grid-empty",
+            "grid-too-small"])
+    def test_bad_generate_input_names_the_flag(self, tmp_path, capsys, flags, message):
+        assert run("generate", *flags, "--poses", 1, "--out", tmp_path / "gen") == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "gen").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--buildings", "2", "--grid", "2x2", "--camera-height", "3"],
+        ["localize", "--frames", "f", "--map", "m.json", "--min-sample", "5"],
+    ], ids=["camera-height", "min-sample"])
+    def test_fixed_values_are_no_flags(self, tmp_path, capsys, argv):
+        # the camera height and the sample size are constants, not options
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--out", tmp_path / "out")
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+        config = tmp_path / "config.json"
+        key = argv[-2][2:]
+        config.write_text(json.dumps({argv[0]: {key: float(argv[-1])}}))
+        assert run(*argv[:-2], "--config", config, "--out", tmp_path / "out") == 2
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+        config.write_text(json.dumps({key: float(argv[-1])}))
+        assert run(*argv[:-2], "--config", config, "--out", tmp_path / "out") == 2
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("stage, flag, value, least", [
         ("generate", "--poses", -1, 0), ("fit-map", "--max-points-per-frame", -2, 0),
         ("localize", "--max-corrs", -5, 0), ("render", "--threads", 0, 1),
@@ -619,3 +665,18 @@ class TestBenchmarkTrace:
                          "scene_sim.simulate_predictions", "geometry.image_bearings",
                          "instance_map.build_instance_map", "pnp.ransac_pnp",
                          "pnp.epnp_bearing", "evaluation"}
+
+
+class TestReadme:
+    def test_every_readme_command_parses(self):
+        # a flag deleted from the CLI must leave the README's commands too
+        text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"```bash\n(.*?)```", text, flags=re.S)
+        commands = [shlex.split(line, comments=True) for block in blocks
+                    for line in block.replace("\\\n", " ").splitlines()
+                    if line.startswith("panoloc ")]
+        assert len(commands) >= 6
+        parser, _ = build_parser()
+        for argv in commands:
+            args = parser.parse_args(argv[1:])
+            assert args.command == argv[1]

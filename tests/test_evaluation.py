@@ -46,7 +46,7 @@ def random_pair(rng, h=6, w=12, noise=1.0):
 class TestCoordAccuracy:
     def test_perfect_prediction(self, rng):
         pred, gt = random_pair(rng, noise=0.0)
-        m = coord_metrics(*coord_distances(gt, gt))
+        m = coord_metrics(coord_distances(gt, gt)[0])
         assert (m.pct_within_0_5m, m.pct_within_1m, m.pct_within_3m) == (100.0, 100.0, 100.0)
         assert m.mean_dist_within_3m == 0.0
 
@@ -56,7 +56,7 @@ class TestCoordAccuracy:
         pred = gt.copy()
         pred[0, :, 0] += 0.4  # half the pixels at 0.4 m
         pred[1, :, 0] += 2.0  # half at 2.0 m
-        m = coord_metrics(*coord_distances(SceneCoordinateImage(pred), SceneCoordinateImage(gt)))
+        m = coord_metrics(coord_distances(SceneCoordinateImage(pred), SceneCoordinateImage(gt))[0])
         assert m.pct_within_0_5m == 50.0
         assert m.pct_within_1m == 50.0
         assert m.pct_within_3m == 100.0
@@ -65,7 +65,7 @@ class TestCoordAccuracy:
     def test_matches_brute_force_oracle(self, rng):
         for _ in range(20):
             pred, gt = random_pair(rng)
-            m = coord_metrics(*coord_distances(pred, gt))
+            m = coord_metrics(coord_distances(pred, gt)[0])
             (pcts, mean3, n_valid) = brute_force_coord_metrics(pred.coords, gt.coords)
             assert m.pct_within_0_5m == pcts[0]
             assert m.pct_within_1m == pcts[1]
@@ -77,7 +77,7 @@ class TestCoordAccuracy:
         gt = np.zeros((1, 2, 3))
         pred = gt.copy()
         pred[0, 0] = np.nan
-        m = coord_metrics(*coord_distances(SceneCoordinateImage(pred), SceneCoordinateImage(gt)))
+        m = coord_metrics(coord_distances(SceneCoordinateImage(pred), SceneCoordinateImage(gt))[0])
         assert m.pct_within_3m == 50.0
         assert m.n_valid == 2
 
@@ -85,16 +85,16 @@ class TestCoordAccuracy:
         gt = SceneCoordinateImage(np.full((1, 2, 3), np.nan))
         pred = SceneCoordinateImage(np.zeros((1, 2, 3)))
         with pytest.raises(EmptyMetricsError):
-            coord_metrics(*coord_distances(pred, gt))
+            coord_metrics(coord_distances(pred, gt)[0])
 
     def test_pixel_permutation_invariant(self, rng):
         pred, gt = random_pair(rng)
-        m = coord_metrics(*coord_distances(pred, gt))
+        m = coord_metrics(coord_distances(pred, gt)[0])
         perm = rng.permutation(pred.coords.shape[0] * pred.coords.shape[1])
         shape = pred.coords.shape
         pred_p = SceneCoordinateImage(pred.coords.reshape(-1, 3)[perm].reshape(shape))
         gt_p = SceneCoordinateImage(gt.coords.reshape(-1, 3)[perm].reshape(shape))
-        mp = coord_metrics(*coord_distances(pred_p, gt_p))
+        mp = coord_metrics(coord_distances(pred_p, gt_p)[0])
         assert m == mp
 
 
@@ -167,14 +167,14 @@ class TestErrorCurves:
 class TestDistanceRoc:
     def test_perfect_prediction_everywhere_100(self, rng):
         _, gt = random_pair(rng, noise=0.0)
-        pct = roc_percentages(*coord_distances(gt, gt), [0.1, 0.5, 1.0, 3.0])
+        pct = roc_percentages(coord_distances(gt, gt)[0], [0.1, 0.5, 1.0, 3.0])
         assert np.all(pct == 100.0)
 
     def test_consistent_with_coord_metrics(self, rng):
         pred, gt = random_pair(rng)
-        dist, n_valid = coord_distances(pred, gt)
-        m = coord_metrics(dist, n_valid)
-        pct = roc_percentages(dist, n_valid, [0.5, 1.0, 3.0])
+        dist = coord_distances(pred, gt)[0]
+        m = coord_metrics(dist)
+        pct = roc_percentages(dist, [0.5, 1.0, 3.0])
         assert pct[0] == m.pct_within_0_5m
         assert pct[1] == m.pct_within_1m
         assert pct[2] == m.pct_within_3m
@@ -182,7 +182,7 @@ class TestDistanceRoc:
     def test_monotone_and_matches_oracle(self, rng):
         pred, gt = random_pair(rng)
         grid = np.linspace(0.1, 5.0, 25)
-        pct = roc_percentages(*coord_distances(pred, gt), grid)
+        pct = roc_percentages(coord_distances(pred, gt)[0], grid)
         assert np.all(np.diff(pct) >= 0.0)
         # scalar-loop oracle at one threshold
         h, w, _ = gt.coords.shape
@@ -202,22 +202,20 @@ class TestDistanceRoc:
         frames = [random_pair(rng), random_pair(rng, h=4, w=8)]
         grid = [0.5, 1.0, 3.0]
         dists = [coord_distances(pred, gt) for pred, gt in frames]
-        pooled = roc_percentages(np.concatenate([d for d, _ in dists]),
-                                 sum(n for _, n in dists), grid)
-        weighted = sum(roc_percentages(d, n, grid) * n for d, n in dists) \
+        pooled = roc_percentages(np.concatenate([d for d, _ in dists]), grid)
+        weighted = sum(roc_percentages(d, grid) * n for d, n in dists) \
             / sum(n for _, n in dists)
         assert np.allclose(pooled, weighted, rtol=1e-12)
         with pytest.raises(EmptyMetricsError):
-            roc_percentages(np.empty(0), 0, grid)
+            roc_percentages(np.empty(0), grid)
 
     @settings(max_examples=200, deadline=None)
     @given(dist=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5, np.inf, np.nan])
-                         | st.floats(0.0, 10.0), max_size=40),
+                         | st.floats(0.0, 10.0), min_size=1, max_size=40),
            thresholds=st.lists(st.sampled_from([0.5, 1.0, np.inf, -np.inf, np.nan])
                                | st.floats(-1.0, 11.0), min_size=1, max_size=8))
     def test_roc_counts_equal_per_threshold_comparisons(self, dist, thresholds):
         # ties at a threshold, infinite and NaN distances and thresholds
         dist = np.array(dist, dtype=np.float64)
-        n_valid = dist.size + 1
-        expected = [100.0 * float((dist <= t).sum()) / n_valid for t in thresholds]
-        assert roc_percentages(dist, n_valid, thresholds).tolist() == expected
+        expected = [100.0 * float((dist <= t).sum()) / dist.size for t in thresholds]
+        assert roc_percentages(dist, thresholds).tolist() == expected

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 import re
@@ -13,7 +14,7 @@ from panoloc import fileio
 from panoloc.fileio import load_poses_jsonl, save_poses_jsonl
 from panoloc.geometry import Pose, quaternion_to_rotation, relative_pose_errors
 from panoloc.images import NUM_CLASS_LABELS, LabelImage, SceneCoordinateImage
-from panoloc.instance_map import InstanceMap, WhiteningTransform, build_instance_map
+from panoloc.instance_map import InstanceMap, WhiteningTransform, build_instance_map, whiten
 from panoloc.scene_sim import (CityLayout, CityScene, Cuboid, generate_city, remove_buildings,
                                sample_trajectory)
 
@@ -213,6 +214,23 @@ class TestInstanceMapFile:
         fileio.save_instance_map(p2, imap)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 60),
+           spread=st.tuples(*[st.floats(1e-2, 1e2)] * 3), offset=st.floats(-1e4, 1e4))
+    def test_fitted_and_reloaded_maps_whiten_to_the_same_bits(self, seed, n, spread, offset):
+        # predict-sim whitens a loaded map; a fitted one must give the same bits
+        rng = np.random.default_rng(seed)
+        points = rng.normal(size=(n, 3)) * np.array(spread) + offset
+        imap = build_instance_map(points, np.full(n, 1000))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "map.json"
+            fileio.save_instance_map(path, imap)
+            back = fileio.load_instance_map(path)
+        world = np.vstack([points, rng.uniform(-1e4, 1e4, (20, 3))])
+        fitted, loaded = imap.get(1000), back.get(1000)
+        assert np.array_equal(whiten(fitted, world), whiten(loaded, world))
+        assert all(np.array_equal(whiten(fitted, p), whiten(loaded, p)) for p in world[:5])
+
 
     @settings(max_examples=40, deadline=None)
     @given(records=st.lists(st.tuples(
@@ -229,8 +247,7 @@ class TestInstanceMapFile:
             if np.linalg.norm(quat) < 0.1:
                 quat = [1.0, 0.0, 0.0, 0.0]
             unwhiten_matrix = quaternion_to_rotation(np.array(quat)) * np.array(scales)
-            transforms[label] = WhiteningTransform(label, np.array(mean), unwhiten_matrix,
-                                                   np.linalg.inv(unwhiten_matrix), count)
+            transforms[label] = WhiteningTransform(label, np.array(mean), unwhiten_matrix, count)
         imap = InstanceMap(transforms, NUM_CLASS_LABELS + len(transforms) + extra_labels)
         with tempfile.TemporaryDirectory() as tmp:
             a, b = Path(tmp) / "a.json", Path(tmp) / "b.json"
@@ -306,7 +323,9 @@ class TestSceneFile:
             assert a.label == b.label
 
     def test_round_trip_keeps_layout(self, tmp_path):
-        scene = generate_city(12, (4, 4), seed=3, block=22.0, street=9.0)
+        # a layout other than the generated one's, so the file must carry it
+        scene = dataclasses.replace(generate_city(12, (4, 4), seed=3),
+                                    layout=CityLayout((4, 4), 22.0, 9.0))
         path = tmp_path / "scene.json"
         fileio.save_scene(path, scene)
         back = fileio.load_scene(path)

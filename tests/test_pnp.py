@@ -217,7 +217,7 @@ class TestRansac:
     def test_default_config_when_none_given(self, rng, monkeypatch):
         # no config means RansacConfig(): 1000 draws of 4 points at seed 0
         assert RansacConfig() == RansacConfig(iterations=1000, inlier_threshold_deg=0.22,
-                                              min_sample=4, seed=0)
+                                              seed=0)
         draws, draw = [], pnp._draw_samples
         monkeypatch.setattr(pnp, "_draw_samples", lambda *args: draws.append(args) or draw(*args))
         est = ransac_pnp(synthetic_corrs(random_pose(rng), 50, rng))
@@ -397,14 +397,14 @@ class TestRansac:
         cfg = RansacConfig(iterations=iterations, inlier_threshold_deg=threshold,
                            seed=seed % 1000)
 
-        samples = pnp._draw_samples(cfg.seed, iterations, n, cfg.min_sample)
+        samples = pnp._draw_samples(cfg.seed, iterations, n, pnp._SAMPLE_SIZE)
         ok, rots, ts = pnp._solve_p3p_batch(corrs.world_points[samples],
                                             corrs.bearings[samples])
         rows = [angular_residuals(SimpleNamespace(rotation=rot, translation=t), corrs)
                 if good else np.full(n, np.inf) for good, rot, t in zip(ok, rots, ts)]
         best = oracle_best(rows, threshold)
         inliers = np.flatnonzero(rows[best] < threshold) if best >= 0 else np.empty(0)
-        if inliers.size <= cfg.min_sample:
+        if inliers.size <= pnp._SAMPLE_SIZE:
             with pytest.raises(NoConsensusError) as err:
                 ransac_pnp(corrs, cfg)
             est = err.value.estimate
@@ -852,7 +852,3 @@ class TestRansacConfigValidation:
             RansacConfig(inlier_threshold_deg=0.0)
         with pytest.raises(ValueError):
             RansacConfig(inlier_threshold_deg=90.0)
-
-    def test_bad_min_sample(self):
-        with pytest.raises(ValueError):
-            RansacConfig(min_sample=3)
