@@ -26,7 +26,12 @@ count. The prediction rows time ``simulate_predictions`` on one 512x256
 small-preset frame with the noise of the pipeline benchmark's small-city
 workload (sigma 0.33 m, 2% outliers, 2% label flips) and of its
 noisy-sparse one (30% outliers, 10% flips), and
-``SceneCoordinateImage.mask`` on that frame.
+``SceneCoordinateImage.mask`` on that frame. The fit-map rows split
+``build_instance_map`` on the building points of 5 small-preset or 2
+large-preset 512x256 frames (the pipeline benchmark's group sizes) into
+its sums (the means and covariances of every instance by segment
+extraction), its one stacked eigendecomposition, and the whole fit, and
+time ``save_instance_map`` writing the resulting map.json.
 
 Usage:
     python benchmarks/bench_kernels.py [--repeats 5] [--rays 131072] ...
@@ -40,10 +45,10 @@ from unittest import mock
 
 import numpy as np
 
-from panoloc.fileio import load_scene, save_scene
+from panoloc.fileio import load_scene, save_instance_map, save_scene
 from panoloc.geometry import quaternion_to_rotation, Pose
+from panoloc import instance_map, pnp
 from panoloc.instance_map import build_instance_map
-from panoloc import pnp
 from panoloc.pnp import Correspondences, RansacConfig, _residuals, _solve_epnp, ransac_pnp
 from panoloc.scene_sim import (LARGE_CITY, SMALL_CITY, NoiseModel, generate_city,
                                raycast_render, sample_trajectory, simulate_predictions)
@@ -140,7 +145,7 @@ def run_benchmarks(args):
     ]
     return (rows + [p3p_row(data["sparse_corrs"], args.repeats)]
             + localize_rows(data["cap_corrs"], args.repeats) + scene_rows(args.repeats)
-            + prediction_rows(args.repeats))
+            + prediction_rows(args.repeats) + fit_map_rows(args.repeats))
 
 
 def p3p_row(corrs, repeats):
@@ -243,6 +248,42 @@ def prediction_rows(repeats):
         rows.append((f"predictions 512x256, {name}", best_of(
             lambda: simulate_predictions(coords, labels, noise, imap), repeats)))
     rows.append(("coordinate mask 512x256", best_of(lambda: coords.mask, repeats)))
+    return rows
+
+
+def fit_map_rows(repeats):
+    """The sums, the eigendecomposition and the whole of build_instance_map,
+    and save_instance_map, on the building points of 5 small-preset and 2
+    large-preset 512x256 frames (the pipeline benchmark's group sizes)."""
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, preset, frames in (("small", SMALL_CITY, 5), ("large", LARGE_CITY, 2)):
+            scene = generate_city(preset["n_buildings"], preset["grid_dims"], seed=7)
+            points, labels = [], []
+            for _, pose in sample_trajectory(scene, frames, seed=7):
+                coords, labs = raycast_render(scene, pose, (512, 256))
+                sel = coords.mask & labs.instance_mask
+                points.append(coords.coords[sel])
+                labels.append(labs.labels[sel])
+            points, labels = np.concatenate(points), np.concatenate(labels)
+            imap = build_instance_map(points, labels)
+            # the instances' points in label order, as build_instance_map gathers them
+            order = np.argsort(labels, kind="stable")
+            keep = np.isin(labels[order], imap.instance_labels())
+            columns = points[order[keep]].T.copy()
+            counts = np.array([imap.get(label).point_count for label in imap.instance_labels()])
+            covs = instance_map._moments(columns.copy(), counts)[1]
+            path = Path(tmp) / f"map_{name}.json"
+            rows += [
+                (f"fit-map sums, {name}, {len(points)} pts", best_of(
+                    lambda: instance_map._moments(columns.copy(), counts), repeats)),
+                (f"fit-map eigh, {name}, {len(imap)} instances", best_of(
+                    lambda: instance_map._unwhitening(covs), repeats)),
+                (f"fit-map whole fit, {name}", best_of(
+                    lambda: build_instance_map(points, labels), repeats)),
+                (f"fit-map write map.json, {name}", best_of(
+                    lambda: save_instance_map(path, imap), repeats)),
+            ]
     return rows
 
 

@@ -10,10 +10,10 @@ caps (``--buildings``, ``--poses``, ``--max-points-per-frame``,
 ``--max-corrs``) are at least 0, and ``--percentiles`` takes values in
 [0, 100]; both are checked before a stage reads any input. Flags can also be
 supplied through a JSON config file (top-level keys and/or per-subcommand
-sections); explicit flags win, and a key that is no flag is bad input. A
-top-level key reaches every subcommand with that flag, ``fit-map --cloud``
-included. Exit codes: 0 success, 2 bad input, 3 localisation reached no
-consensus on any frame.
+sections); explicit flags win, and a key that is no flag or a value the flag
+would not take is bad input. A top-level key reaches every subcommand with
+that flag, ``fit-map --cloud`` included. Exit codes: 0 success, 2 bad input,
+3 localisation reached no consensus on any frame.
 """
 
 import argparse
@@ -109,6 +109,8 @@ def cmd_generate(args) -> int:
             raise InputError("either --preset or --buildings is required")
         n_buildings = args.buildings
         grid = _parse_pair(args.grid, "--grid")
+        if min(grid) < 1:
+            raise InputError(f"bad --grid {args.grid!r}, expected two positive integers AxB")
     scene = scene_sim.generate_city(n_buildings, grid, seed=args.seed)
     frames = scene_sim.sample_trajectory(scene, args.poses, seed=args.seed)
     out_dir = Path(args.out)
@@ -368,13 +370,31 @@ def build_parser():
     return parser, subparsers
 
 
+def _config_value(action, key, value, config_path):
+    """A config value as its flag takes it: a string through the flag's type,
+    as on the command line, and a number only for an int flag (an integer,
+    not a bool) or a float flag. null stays null where that is the default."""
+    kind = action.type or str
+    taken = isinstance(value, str) or type(value) in ((int, float) if kind is float else (kind,))
+    try:
+        value = kind(value) if taken else value
+    except ValueError:
+        taken = False
+    if taken and value in (action.choices or [value]) or value is None is action.default:
+        return value
+    want = (f"one of {', '.join(action.choices)}" if action.choices
+            else {int: "an integer", float: "a number", str: "a string"}[kind])
+    raise InputError(f"key {key!r} in config {config_path} takes {want}, got {json.dumps(value)}")
+
+
 def _apply_config(argv, subparsers) -> None:
     """Set defaults from the ``--config`` JSON file, if one is given.
 
     A top-level key must be a flag of some subcommand and applies to the
     subcommands that have it; a key that names a subcommand holds a section
     of that subcommand's flags, which wins over top-level keys. Any other
-    key raises InputError, so a typo is not silently ignored.
+    key raises InputError, so a typo is not silently ignored, and so does
+    a value its flag would not take (``_config_value``).
     """
     config_path = None
     for i, arg in enumerate(argv):
@@ -399,16 +419,19 @@ def _apply_config(argv, subparsers) -> None:
                 if sub_key.replace("-", "_") not in flags[key]:
                     raise InputError(f"unknown key {sub_key!r} in section {key!r} "
                                      f"of config {config_path}")
-            sections[key] = {k.replace("-", "_"): v for k, v in value.items()}
+            sections[key] = {k.replace("-", "_"): (k, v) for k, v in value.items()}
         elif any(key.replace("-", "_") in names for names in flags.values()):
-            shared[key.replace("-", "_")] = value
+            shared[key.replace("-", "_")] = (key, value)
         else:
             raise InputError(f"unknown key {key!r} in config {config_path}")
     command = argv[0] if argv and not argv[0].startswith("-") else None
     if command in subparsers:
-        defaults = {k: v for k, v in shared.items() if k in flags[command]}
-        defaults.update(sections.get(command, {}))
-        subparsers[command].set_defaults(**defaults)
+        chosen = {k: v for k, v in shared.items() if k in flags[command]}
+        chosen.update(sections.get(command, {}))
+        actions = {action.dest: action for action in subparsers[command]._actions}
+        subparsers[command].set_defaults(**{
+            dest: _config_value(actions[dest], key, value, config_path)
+            for dest, (key, value) in chosen.items()})
 
 
 # mallopt parameters of glibc's malloc.h
@@ -452,7 +475,7 @@ def main(argv=None) -> int:
     try:
         _check_flags(args)
         return args.func(args)
-    except (InputError, FileNotFoundError, ValueError) as exc:
+    except (InputError, FileNotFoundError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

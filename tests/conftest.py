@@ -1,10 +1,14 @@
 """Shared fixtures and synthetic-data helpers."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 
 from panoloc.geometry import Pose, quaternion_to_rotation
-from panoloc.instance_map import whiten
+from panoloc.images import FIRST_INSTANCE_LABEL, NUM_CLASS_LABELS
+from panoloc.instance_map import EIGENVALUE_FLOOR, MIN_INSTANCE_POINTS, whiten
 from panoloc.pnp import Correspondences
 
 
@@ -30,6 +34,44 @@ def whiten_image(imap, coords: np.ndarray, labels: np.ndarray) -> np.ndarray:
         if np.any(sel):
             out[sel] = whiten(tf, coords[sel])
     return out
+
+
+def fsum_whitening(points) -> tuple:
+    """(mean, W) of one instance, the slow way: ``math.fsum`` for each mean
+    and covariance entry, one ``eigh``, then descending eigenvalues, each
+    eigenvector's largest-magnitude entry positive and det +1."""
+    pts = np.asarray(points, dtype=np.float64)
+    n = pts.shape[0]
+    mean = np.array([math.fsum(pts[:, j]) / n for j in range(3)])
+    d = pts - mean
+    cov = np.empty((3, 3))
+    for j in range(3):
+        for k in range(j, 3):
+            cov[j, k] = cov[k, j] = math.fsum(d[:, j] * d[:, k]) / n
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    order = np.argsort(eigvals, kind="stable")[::-1]
+    eigvals, eigvecs = eigvals[order], eigvecs[:, order]
+    for k in range(3):
+        col = eigvecs[:, k]
+        if col[np.argmax(np.abs(col))] < 0.0:
+            eigvecs[:, k] = -col
+    if np.linalg.det(eigvecs) < 0.0:
+        eigvecs[:, 2] = -eigvecs[:, 2]
+    return mean, eigvecs * np.sqrt(np.maximum(eigvals, 0.0) + EIGENVALUE_FLOOR)
+
+
+def fsum_map_json(points, labels) -> str:
+    """The map.json text of ``fsum_whitening`` fits of every instance with
+    enough points, encoded by ``json.dumps(doc, indent=1)``."""
+    records = []
+    for label in sorted(set(labels[labels >= FIRST_INSTANCE_LABEL].tolist())):
+        own = points[labels == label]
+        if len(own) >= MIN_INSTANCE_POINTS:
+            mean, w = fsum_whitening(own)
+            records.append({"id": label, "mean": mean.tolist(), "W": w.ravel().tolist(),
+                            "count": len(own)})
+    doc = {"labels": records, "label_count": NUM_CLASS_LABELS + len(records)}
+    return json.dumps(doc, indent=1) + "\n"
 
 
 def synthetic_corrs(pose: Pose, n: int, rng, planar: bool = False,

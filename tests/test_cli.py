@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import panoloc
+from conftest import fsum_map_json
 from panoloc import fileio
 from panoloc.cli import build_parser, main
 from panoloc.fileio import load_poses_jsonl
@@ -364,10 +365,15 @@ class TestErrorHandling:
         (["--buildings", "-1"], "--buildings must be at least 0, got -1"),
         (["--buildings", "2", "--grid", "3"], "bad --grid '3', expected two integers AxB"),
         (["--buildings", "2", "--grid", "axb"], "bad --grid 'axb', expected two integers AxB"),
-        (["--buildings", "2", "--grid", "0x0"], "cannot place 2 buildings on a 0x0 grid"),
+        (["--buildings", "2", "--grid", "0x0"],
+         "bad --grid '0x0', expected two positive integers AxB"),
+        (["--buildings", "2", "--grid=-2x-3"],
+         "bad --grid '-2x-3', expected two positive integers AxB"),
+        (["--buildings", "0", "--grid", "0x3"],
+         "bad --grid '0x3', expected two positive integers AxB"),
         (["--buildings", "5", "--grid", "2x2"], "cannot place 5 buildings on a 2x2 grid"),
     ], ids=["negative-buildings", "grid-one-number", "grid-not-int", "grid-empty",
-            "grid-too-small"])
+            "grid-negative", "grid-zero-blocks", "grid-too-small"])
     def test_bad_generate_input_names_the_flag(self, tmp_path, capsys, flags, message):
         assert run("generate", *flags, "--poses", 1, "--out", tmp_path / "gen") == 2
         assert message in capsys.readouterr().err
@@ -522,6 +528,53 @@ class TestConfigFile:
         assert "iterations" not in flags
 
 
+    @pytest.mark.parametrize("stage, body, message", [
+        ("evaluate", {"percentiles": 80}, "key 'percentiles' in config {} takes a string, got 80"),
+        ("render", {"threads": 1.5}, "key 'threads' in config {} takes an integer, got 1.5"),
+        ("render", {"render": {"threads": 2.0}}, "takes an integer, got 2.0"),
+        ("localize", {"iterations": True}, "takes an integer, got true"),
+        ("localize", {"max-corrs": "many"}, 'key \'max-corrs\' in config {} takes an integer, '
+                                            'got "many"'),
+        ("predict-sim", {"sigma": [0.3]}, "key 'sigma' in config {} takes a number, got [0.3]"),
+        ("generate", {"grid": None}, "key 'grid' in config {} takes a string, got null"),
+        ("generate", {"preset": "medium"}, 'takes one of small, large, got "medium"'),
+    ], ids=["number-for-string", "fraction-for-int", "float-for-int", "bool-for-int",
+            "word-for-int", "list-for-float", "null-for-string", "not-a-choice"])
+    def test_value_its_flag_would_not_take_is_exit_2(self, tmp_path, capsys, stage, body,
+                                                     message):
+        # a config value must be what the flag would take on the command line
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(body))
+        out = tmp_path / "out"
+        assert run(stage, "--config", config, "--out", out) == 2
+        assert message.format(config) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_values_are_typed_like_flags(self, mini_pipeline, tmp_path):
+        # strings go through the flag's type; a float flag takes an integer too
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": "4", "threads": "2", "sigma": 1,
+                                      "predict-sim": {"outlier-rate": "0.5"}}))
+        out = tmp_path / "pred"
+        assert run("predict-sim", "--frames", mini_pipeline / "frames",
+                   "--map", mini_pipeline / "map.json", "--config", config, "--out", out) == 0
+        flags = json.loads((out / "predict_sim_meta.json").read_text())["flags"]
+        assert (flags["seed"], flags["threads"]) == (4, 2)
+        assert (flags["sigma"], flags["outlier_rate"]) == (1.0, 0.5)
+        assert all(type(flags[key]) is float for key in ("sigma", "outlier_rate"))
+
+    def test_null_unsets_a_flag_whose_default_is_null(self, tmp_path, rng):
+        # the fix fit-map --cloud names for a pipeline-wide "frames" key
+        cloud = tmp_path / "cloud.ply"
+        fileio.save_ply(cloud, rng.normal(size=(30, 3)), np.full(30, 1000, dtype=np.uint32))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"frames": "f"}))
+        out = tmp_path / "map.json"
+        assert run("fit-map", "--cloud", cloud, "--config", config, "--out", out) == 2
+        config.write_text(json.dumps({"frames": "f", "fit-map": {"frames": None}}))
+        assert run("fit-map", "--cloud", cloud, "--config", config, "--out", out) == 0
+
+
 class TestPresets:
     def test_large_preset_counts(self, tmp_path):
         assert run("generate", "--preset", "large", "--poses", 1,
@@ -539,6 +592,18 @@ class TestPresets:
 
 
 class TestFitMapInputs:
+    def test_map_has_the_bytes_of_the_fsum_oracle(self, mini_pipeline):
+        # every building pixel of the rendered frames, in frame order
+        frames = mini_pipeline / "frames"
+        points, labels = [], []
+        for frame in fileio.list_frames(frames):
+            coords, labs = fileio.load_frame(frames, frame)
+            sel = coords.mask & labs.instance_mask
+            points.append(coords.coords[sel])
+            labels.append(labs.labels[sel])
+        text = fsum_map_json(np.concatenate(points), np.concatenate(labels))
+        assert (mini_pipeline / "map.json").read_bytes() == text.encode("utf-8")
+
     def test_skipped_labels_report(self, tmp_path, rng):
         pts = np.vstack([rng.normal(size=(30, 3)) * 2.0, rng.normal(size=(2, 3))])
         labels = np.array([1000] * 30 + [1001] * 2, dtype=np.uint32)

@@ -4,7 +4,7 @@ from pathlib import Path
 import re
 import tempfile
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 import numpy as np
 import pytest
@@ -205,6 +205,27 @@ class TestInstanceMapFile:
             assert np.abs(a.unwhiten_matrix - b.unwhiten_matrix).max() < 1e-12
             assert np.abs(b.unwhiten_matrix @ b.whiten_matrix - np.eye(3)).max() < 1e-8
             assert a.point_count == b.point_count
+
+    @settings(max_examples=100, deadline=None)
+    @given(records=st.lists(st.tuples(
+               st.integers(1000, 2**32 - 1),
+               st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=12,
+                        max_size=12),
+               st.integers(0, 2**63)), unique_by=lambda r: r[0], max_size=6),
+           label_count=st.integers(0, 2**40))
+    @example(records=[], label_count=3)
+    def test_writes_the_bytes_of_json_dumps(self, records, label_count):
+        # the layout and float reprs of json.dumps(doc, indent=1), any finite values
+        transforms = {label: WhiteningTransform(label, np.array(v[:3]),
+                                                np.reshape(v[3:], (3, 3)), count)
+                      for label, v, count in records}
+        doc = {"labels": [{"id": label, "mean": v[:3], "W": v[3:], "count": count}
+                          for label, v, count in sorted(records)],
+               "label_count": label_count}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "map.json"
+            fileio.save_instance_map(path, InstanceMap(transforms, label_count))
+            assert path.read_text(encoding="utf-8") == json.dumps(doc, indent=1) + "\n"
 
     def test_deterministic_bytes(self, tmp_path, rng):
         pts = rng.normal(size=(20, 3))

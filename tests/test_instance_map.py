@@ -4,10 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import fsum_whitening
 from panoloc.geometry import quaternion_to_rotation
-from panoloc.instance_map import (DegenerateInstanceError, EIGENVALUE_FLOOR,
+from panoloc.instance_map import (DegenerateInstanceError, EIGENVALUE_FLOOR, _segment_sums,
                                   build_instance_map, fit_whitening, unwhiten,
                                   whiten)
+
+# any finite double: a 53-bit integer mantissa at any binary exponent, so
+# subnormals and values next to overflow are as likely as ordinary ones
+FINITE = st.builds(lambda m, e, negative: math.ldexp(-m if negative else m, e),
+                   st.integers(0, 2 ** 53 - 1), st.integers(-1074, 1024 - 53), st.booleans())
+TERMS = st.one_of(FINITE, st.floats(-1e300, 1e300),
+                  st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308]))
 
 
 def cube_corners(center, half=0.5):
@@ -132,6 +140,101 @@ class TestWhitenUnwhiten:
         mean, cov = sample_covariance(whiten(tf, pts))
         assert np.linalg.norm(mean) < 1e-8
         assert np.abs(cov - np.eye(3)).max() < 1e-6
+
+
+def fsum_runs(terms, counts):
+    """math.fsum of each run; None where one overflows."""
+    try:
+        return np.array([math.fsum(terms[s:s + n])
+                         for s, n in zip(np.cumsum(counts) - counts, counts)])
+    except OverflowError:
+        return None
+
+
+def check_against_fsum(terms, counts):
+    """_segment_sums has fsum's bits, and raises OverflowError where fsum
+    does or where some run is within a factor 4 of overflowing."""
+    terms, counts = np.array(terms, dtype=np.float64), np.array(counts)
+    expected = fsum_runs(terms, counts)
+    try:
+        got = _segment_sums(terms.copy(), counts)
+    except OverflowError:
+        tops = np.maximum.reduceat(np.abs(terms), np.cumsum(counts) - counts)
+        assert expected is None or (tops > 2.0 ** 1022 / (counts + 2.0)).any()
+        return
+    assert expected is not None
+    assert got.tobytes() == expected.tobytes()
+
+
+def draw_runs(data, terms, counts):
+    """Runs of ``counts`` terms each, some of them cancelling pairs. A run
+    draws from ``terms`` or, as likely, takes full 53-bit mantissas within
+    a factor 8 of its top exponent or next to its last bits, where the
+    extraction rounds."""
+    row = []
+    for n in counts:
+        top = data.draw(st.integers(-1074 + 58, 1024 - 53))
+        near = st.builds(lambda m, e, negative: math.ldexp(-m if negative else m, e),
+                         st.integers(2 ** 52, 2 ** 53 - 1),
+                         st.integers(top - 3, top) | st.integers(top - 58, top - 50),
+                         st.booleans())
+        run = data.draw(st.lists(near if data.draw(st.booleans()) else terms,
+                                 min_size=n, max_size=n))
+        pairs = data.draw(st.integers(0, n // 2))
+        run[n - pairs:] = [-x for x in run[:pairs]]
+        row += data.draw(st.permutations(run))
+    return row
+
+
+class TestSegmentSums:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), counts=st.lists(st.integers(1, 12), min_size=1, max_size=6))
+    def test_fsum_bits(self, data, counts):
+        check_against_fsum(draw_runs(data, TERMS, counts), counts)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), counts=st.lists(st.integers(1, 6), min_size=1, max_size=3))
+    def test_overflow_where_fsum_overflows(self, data, counts):
+        giants = st.floats(2.0 ** 1020, 1.7976931348623157e308) | st.floats(
+            -1.7976931348623157e308, -2.0 ** 1020)
+        check_against_fsum(draw_runs(data, giants | TERMS, counts), counts)
+
+    @pytest.mark.parametrize("terms, counts", [
+        ([0.1] * 10, [10]),
+        ([1.0, 1e100, 1.0, -1e100, 5e-324, -0.0], [3, 2, 1]),
+        ([-0.0, -0.0, 0.0, -0.0], [2, 2]),
+        ([2.0 ** 1000, 2.0 ** -1074, -2.0 ** 1000, 3.0, 2.0 ** -60, 1.0], [3, 3]),
+        # three terms the extraction rounds up to 1, and one on a finer grid
+        ([1 - 2.0 ** -53] * 3 + [-3 * 2.0 ** -52], [4]),
+    ], ids=["tenths", "cancelled-giants", "signed-zeros", "subnormal-under-giants",
+            "rounded-up-tops"])
+    def test_fsum_bits_of_hard_runs(self, terms, counts):
+        terms, counts = np.array(terms), np.array(counts)
+        assert _segment_sums(terms.copy(), counts).tobytes() == fsum_runs(terms, counts).tobytes()
+
+    @pytest.mark.parametrize("terms", [[1e308, 1e308], [-1.7e308, -1.7e308, 1.0],
+                                       [1.7976931348623157e308, -1e300], [math.inf, 1.0],
+                                       [math.nan, 1.0]])
+    def test_overflow_and_non_finite_terms_raise(self, terms):
+        with pytest.raises(OverflowError):
+            _segment_sums(np.array(terms), np.array([len(terms)]))
+
+
+class TestFsumOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           spreads=st.lists(st.floats(0.0, 1e3), min_size=3, max_size=3),
+           offset=st.floats(0.0, 1e5), n=st.integers(4, 300), repeats=st.integers(1, 3))
+    def test_fit_whitening_has_the_oracle_bits(self, seed, spreads, offset, n, repeats):
+        # flat to round, near and far, some points repeated; a zero spread
+        # gives an axis of equal coordinates
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(size=(n, 3)) * spreads + offset * rng.normal(size=3)
+        pts = np.tile(pts, (repeats, 1))
+        tf = fit_whitening(pts, 1000)
+        mean, w = fsum_whitening(pts)
+        assert tf.mean.tobytes() == mean.tobytes()
+        assert tf.unwhiten_matrix.tobytes() == w.tobytes()
 
 
 class TestBuildInstanceMap:
