@@ -8,17 +8,22 @@ pool results in frame order, so ``--threads`` (at least 1) never changes
 the bytes; generate and ``fit-map --cloud`` accept it unused. Counts and
 caps (``--buildings``, ``--poses``, ``--max-points-per-frame``,
 ``--max-corrs``) are at least 0, and ``--percentiles`` takes values in
-[0, 100]; both are checked before a stage reads any input. Flags can also be
-supplied through a JSON config file (top-level keys and/or per-subcommand
-sections); explicit flags win, and a key that is no flag or a value the flag
-would not take is bad input. A top-level key reaches every subcommand with
-that flag, ``fit-map --cloud`` included. Exit codes: 0 success, 2 bad input,
-3 localisation reached no consensus on any frame.
+[0, 100]; both are checked before a stage reads any input. Flags can also
+come from a JSON config file (``--config``; top-level keys and/or
+per-subcommand sections). Its values act as ``--flag=value`` arguments placed
+before the command line's own flags, so explicit flags win, and a config can
+supply a required flag. A key that is no flag, or a value the flag would not
+take, is bad input. A top-level key reaches every subcommand with that flag,
+``fit-map --cloud`` included. Flags are spelled in full: no abbreviation such
+as ``--conf`` is taken. The parser is built once per process, on the first
+``main`` call. Exit codes: 0 success, 2 bad input, 3 localisation reached no
+consensus on any frame.
 """
 
 import argparse
 import ctypes
-from dataclasses import asdict
+from dataclasses import asdict, replace
+import functools
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -59,8 +64,7 @@ def _require(path, kind: str) -> Path:
 
 def _write_meta(out_dir: Path, command: str, args: argparse.Namespace) -> None:
     skip = {"func", "config"}
-    flags = {k: v for k, v in sorted(vars(args).items())
-             if k not in skip and not callable(v)}
+    flags = {k: v for k, v in sorted(vars(args).items()) if k not in skip}
     meta = {"command": command, "flags": flags}
     fileio.save_json(out_dir / f"{command.replace('-', '_')}_meta.json", meta, default=str)
 
@@ -181,6 +185,8 @@ def cmd_fit_map(args) -> int:
 
 
 def cmd_predict_sim(args) -> int:
+    noise = scene_sim.NoiseModel(coord_sigma=args.sigma, outlier_rate=args.outlier_rate,
+                                 label_flip_rate=args.label_flip_rate)
     frames_dir = _require(args.frames, "frames directory")
     imap = fileio.load_instance_map(_require(args.map, "instance map"))
     out_dir = Path(args.out)
@@ -192,10 +198,9 @@ def cmd_predict_sim(args) -> int:
 
     def predict(item):
         index, frame = item
-        noise = scene_sim.NoiseModel(coord_sigma=args.sigma, outlier_rate=args.outlier_rate,
-                                     label_flip_rate=args.label_flip_rate, seed=args.seed + index)
         fileio.save_frame(out_dir, frame, *scene_sim.simulate_predictions(
-            *fileio.load_frame(frames_dir, frame), noise, imap, bounds=bounds))
+            *fileio.load_frame(frames_dir, frame), replace(noise, seed=args.seed + index), imap,
+            bounds=bounds))
 
     frames = fileio.list_frames(frames_dir)
     _map_frames(predict, list(enumerate(frames)), args.threads)
@@ -245,6 +250,10 @@ def cmd_localize(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if bool(args.pred_frames) != bool(args.gt_frames):
+        given, missing = (("--pred-frames", "--gt-frames") if args.pred_frames
+                          else ("--gt-frames", "--pred-frames"))
+        raise InputError(f"{given} needs {missing}: the coordinate metrics compare the two")
     estimates = fileio.load_estimates_jsonl(_require(args.estimates, "estimate file"))
     gt_poses = dict(load_poses_jsonl(_require(args.gt_poses, "ground-truth poses")))
     out_dir = Path(args.out)
@@ -306,15 +315,17 @@ def cmd_evaluate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
+    """(parser, {subcommand: subparser}), built once per process on first use."""
     parser = argparse.ArgumentParser(
-        prog="panoloc",
+        prog="panoloc", allow_abbrev=False,
         description="Spherical-panorama relocalisation pipeline on synthetic cuboid cities")
     subs = parser.add_subparsers(dest="command", required=True)
     subparsers = {}
 
     def add(name, func, help, seeded=True, **defaults):
-        p = subparsers[name] = subs.add_parser(name, help=help)
+        p = subparsers[name] = subs.add_parser(name, help=help, allow_abbrev=False)
         if seeded:
             p.add_argument("--seed", type=int, default=0, help="global random seed")
         p.add_argument("--threads", type=int, default=1,
@@ -378,7 +389,7 @@ def _config_value(action, key, value, config_path):
     taken = isinstance(value, str) or type(value) in ((int, float) if kind is float else (kind,))
     try:
         value = kind(value) if taken else value
-    except ValueError:
+    except (ValueError, OverflowError):  # float() of an integer beyond the float range
         taken = False
     if taken and value in (action.choices or [value]) or value is None is action.default:
         return value
@@ -387,14 +398,17 @@ def _config_value(action, key, value, config_path):
     raise InputError(f"key {key!r} in config {config_path} takes {want}, got {json.dumps(value)}")
 
 
-def _apply_config(argv, subparsers) -> None:
-    """Set defaults from the ``--config`` JSON file, if one is given.
+def _config_args(argv, subparsers) -> list:
+    """The ``--config`` JSON file's values for subcommand ``argv[0]`` as
+    ``--flag=value`` arguments; none without a config.
 
     A top-level key must be a flag of some subcommand and applies to the
     subcommands that have it; a key that names a subcommand holds a section
     of that subcommand's flags, which wins over top-level keys. Any other
     key raises InputError, so a typo is not silently ignored, and so does
-    a value its flag would not take (``_config_value``).
+    a value its flag would not take (``_config_value``). A null leaves its
+    flag unset, the default. ``main`` parses these arguments ahead of the
+    command line's own, so an explicit flag wins.
     """
     config_path = None
     for i, arg in enumerate(argv):
@@ -403,12 +417,13 @@ def _apply_config(argv, subparsers) -> None:
         elif arg.startswith("--config="):
             config_path = arg.split("=", 1)[1]
     if config_path is None:
-        return
+        return []
     with open(config_path, "r", encoding="utf-8") as fh:
         config = json.load(fh)
     if not isinstance(config, dict):
         raise InputError(f"config {config_path} must hold a JSON object")
-    flags = {name: {action.dest for action in sub._actions} - {"help", "config"}
+    flags = {name: {action.dest: action for action in sub._actions
+                    if action.dest not in ("help", "config")}
              for name, sub in subparsers.items()}
     shared, sections = {}, {}
     for key, value in config.items():
@@ -424,14 +439,15 @@ def _apply_config(argv, subparsers) -> None:
             shared[key.replace("-", "_")] = (key, value)
         else:
             raise InputError(f"unknown key {key!r} in config {config_path}")
-    command = argv[0] if argv and not argv[0].startswith("-") else None
-    if command in subparsers:
-        chosen = {k: v for k, v in shared.items() if k in flags[command]}
-        chosen.update(sections.get(command, {}))
-        actions = {action.dest: action for action in subparsers[command]._actions}
-        subparsers[command].set_defaults(**{
-            dest: _config_value(actions[dest], key, value, config_path)
-            for dest, (key, value) in chosen.items()})
+    command = argv[0]  # argv holds --config, so it is not empty
+    if command not in subparsers:
+        return []
+    chosen = {k: v for k, v in shared.items() if k in flags[command]}
+    chosen.update(sections.get(command, {}))
+    values = {flags[command][dest]: _config_value(flags[command][dest], key, value, config_path)
+              for dest, (key, value) in chosen.items()}
+    return [f"{action.option_strings[0]}={value}"
+            for action, value in values.items() if value is not None]
 
 
 # mallopt parameters of glibc's malloc.h
@@ -464,14 +480,14 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = build_parser()
     try:
-        _apply_config(argv, subparsers)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 2
+        config_args = _config_args(argv, subparsers)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    args = parser.parse_args(argv)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, UTF-8 or integer literal
+        print(f"error: cannot read config: {exc}", file=sys.stderr)
+        return 2
+    args = parser.parse_args(argv[:1] + config_args + argv[1:])
     try:
         _check_flags(args)
         return args.func(args)

@@ -280,8 +280,8 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.coord_sigma < 0.0:
-            raise ValueError("coord_sigma must be >= 0")
+        if not 0.0 <= self.coord_sigma < math.inf:  # NaN fails too
+            raise ValueError(f"coord_sigma must be finite and >= 0, got {self.coord_sigma}")
         for name in ("outlier_rate", "label_flip_rate"):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:

@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import json
 import math
@@ -419,6 +420,27 @@ class TestErrorHandling:
         assert f"{flag} must be at least {least}, got {value}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_sigma_is_exit_2(self, mini_pipeline, tmp_path, capsys, sigma):
+        # unchecked, every predicted coordinate would be NaN
+        out = tmp_path / "pred"
+        assert run("predict-sim", "--frames", mini_pipeline / "frames",
+                   "--map", mini_pipeline / "map.json", "--sigma", sigma, "--out", out) == 2
+        assert f"coord_sigma must be finite and >= 0, got {sigma}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("given, missing", [("--pred-frames", "--gt-frames"),
+                                                ("--gt-frames", "--pred-frames")])
+    def test_evaluate_frames_flag_alone_is_exit_2(self, mini_pipeline, tmp_path, capsys,
+                                                  given, missing):
+        # alone, either flag would silently skip the coordinate metrics
+        out = tmp_path / "eval"
+        assert run("evaluate", "--estimates", mini_pipeline / "loc" / "estimates.jsonl",
+                   "--gt-poses", mini_pipeline / "gen" / "poses.jsonl",
+                   given, mini_pipeline / "frames", "--out", out) == 2
+        assert f"{given} needs {missing}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_count_from_config_is_exit_2(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"max-corrs": -5}))
@@ -538,8 +560,11 @@ class TestConfigFile:
         ("predict-sim", {"sigma": [0.3]}, "key 'sigma' in config {} takes a number, got [0.3]"),
         ("generate", {"grid": None}, "key 'grid' in config {} takes a string, got null"),
         ("generate", {"preset": "medium"}, 'takes one of small, large, got "medium"'),
+        ("predict-sim", {"sigma": 10 ** 400},
+         "key 'sigma' in config {} takes a number, got 1" + "0" * 400),
     ], ids=["number-for-string", "fraction-for-int", "float-for-int", "bool-for-int",
-            "word-for-int", "list-for-float", "null-for-string", "not-a-choice"])
+            "word-for-int", "list-for-float", "null-for-string", "not-a-choice",
+            "integer-beyond-float"])
     def test_value_its_flag_would_not_take_is_exit_2(self, tmp_path, capsys, stage, body,
                                                      message):
         # a config value must be what the flag would take on the command line
@@ -549,6 +574,60 @@ class TestConfigFile:
         assert run(stage, "--config", config, "--out", out) == 2
         assert message.format(config) in capsys.readouterr().err
         assert not out.exists()
+
+    def test_config_values_do_not_outlive_their_call(self, tmp_path):
+        # the parser is reused across calls; a config must not leave its values in it
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 5}))
+        flags = ["--buildings", 2, "--grid", "2x2", "--poses", 1]
+        assert run("generate", "--config", config, *flags, "--out", tmp_path / "a") == 0
+        assert run("generate", *flags, "--out", tmp_path / "b") == 0
+        seeds = [json.loads((tmp_path / out / "generate_meta.json").read_text())["flags"]["seed"]
+                 for out in ("a", "b")]
+        assert seeds == [5, 0]
+
+    def test_parser_is_built_once_per_process(self, tmp_path, monkeypatch):
+        built, init = [], argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        build_parser.cache_clear()
+        try:
+            for out in ("a", "b"):
+                assert run("generate", "--buildings", 2, "--grid", "2x2", "--poses", 1,
+                           "--out", tmp_path / out) == 0
+        finally:
+            build_parser.cache_clear()
+        assert built.count("panoloc") == 1
+
+    def test_flags_are_spelled_in_full(self, tmp_path, capsys):
+        # argparse would take --conf for --config, while the config scan would not read it
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 5}))
+        flags = ["--buildings", 2, "--grid", "2x2", "--poses", 1]
+        with pytest.raises(SystemExit) as exc:
+            run("generate", "--conf", config, *flags, "--out", tmp_path / "a")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --conf" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+        assert run("generate", f"--config={config}", *flags, "--out", tmp_path / "b") == 0
+        meta = json.loads((tmp_path / "b" / "generate_meta.json").read_text())
+        assert meta["flags"]["seed"] == 5
+
+    def test_config_supplies_a_required_flag(self, mini_pipeline, tmp_path):
+        gen = mini_pipeline / "gen"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"render": {"scene": str(gen / "scene.json"),
+                                                 "poses": str(gen / "poses.jsonl")}}))
+        out = tmp_path / "frames"
+        assert run("render", "--config", config, "--dims", "128x64", "--out", out) == 0
+        frames = sorted((mini_pipeline / "frames").glob("*.[sl][cb]*"))
+        assert len(frames) == 10
+        for path in frames:
+            assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 
     def test_values_are_typed_like_flags(self, mini_pipeline, tmp_path):
         # strings go through the flag's type; a float flag takes an integer too
