@@ -16,9 +16,13 @@ candidate slots that reach the Gauss-Newton refinement against the four
 slots of every sample. Every sample draws ``pnp._SAMPLE_SIZE`` (4) points,
 as ``ransac_pnp`` does: three for P3P and one to pick its pose. The
 localize layer rows split ``ransac_pnp`` at 5000 points and 1000
-iterations into its steps, each timed on the
-previous step's output: the sample draw, the P3P solves, the prefilter
-bound pass, the exact pass and the three refits. The scene rows time
+iterations into its steps, each timed on the previous step's output: the
+sample draw, the P3P solves, the float32 bound pass over every
+hypothesis, the float64 re-bounds of the hypotheses the exact pass
+re-bounded (named with their number), the exact pass with those
+re-bounds (named with the hypotheses it scored in full) and the three
+refits. The float64 bound pass over every hypothesis, which the float32
+level replaced, is timed alongside for comparison. The scene rows time
 ``save_scene``, ``load_scene`` and one 512x256 ``raycast_render`` on the
 large preset (827 buildings) and on 52,000 buildings of a 230x230 grid,
 where render time should follow what the camera sees, not the building
@@ -190,14 +194,22 @@ def localize_rows(corrs, repeats):
     rots = np.concatenate([s[1] for s in solved])
     ts = np.concatenate([s[2] for s in solved])
 
-    def bound():
+    def bound(single):
         bounds = np.zeros(cfg.iterations, dtype=np.int64)
         for lo, (good, rot, t) in zip(chunks, solved):
-            bounds[lo:lo + len(good)][good] = pnp._prefilter_bounds(rot[good], t[good], lift, thr)
+            bounds[lo:lo + len(good)][good] = pnp._prefilter_bounds(rot[good], t[good], lift, thr,
+                                                                    single=single)
         return bounds
 
-    bounds = bound()
-    res = pnp._exact_pass(bounds, rots, ts, pts, brs, thr)[3]
+    first = bound(True)
+    calls = []
+
+    def rebound(idx):
+        calls.append(idx)
+        return pnp._prefilter_bounds(rots[idx], ts[idx], lift, thr)
+
+    counts, _, _, res = pnp._exact_pass(first, rots, ts, pts, brs, thr, rebound)
+    rebounded = np.concatenate(calls)
 
     def refit():
         for widen in pnp._REFIT_WIDENING:
@@ -209,9 +221,12 @@ def localize_rows(corrs, repeats):
         (f"localize sample draw, {n} pts", best_of(
             lambda: pnp._draw_samples(cfg.seed, cfg.iterations, n, pnp._SAMPLE_SIZE), repeats)),
         ("localize p3p solves, 1000 it", best_of(solve, repeats)),
-        (f"localize bound pass, {n} pts", best_of(bound, repeats)),
-        (f"localize exact pass, {n} pts", best_of(
-            lambda: pnp._exact_pass(bounds, rots, ts, pts, brs, thr), repeats)),
+        (f"localize float64 bound pass, {n} pts", best_of(lambda: bound(False), repeats)),
+        (f"localize float32 bound pass, {n} pts", best_of(lambda: bound(True), repeats)),
+        (f"localize float64 re-bounds, {len(rebounded)} hyps", best_of(
+            lambda: pnp._prefilter_bounds(rots[rebounded], ts[rebounded], lift, thr), repeats)),
+        (f"localize exact pass, {np.count_nonzero(counts >= 0)} visits", best_of(
+            lambda: pnp._exact_pass(first, rots, ts, pts, brs, thr, rebound), repeats)),
         (f"localize refits, {n} pts", best_of(refit, repeats)),
     ]
 

@@ -9,25 +9,35 @@ three points and its other points pick one of the up to four candidate
 poses. Once the depths are known, the (sample, candidate) slots that may
 hold a root, about a fifth of them on noisy data, are gathered into flat
 arrays; the refinement, the checks, the poses and the pick run on those
-alone, each 3-vector as three component planes. Scoring takes two
-passes. The bound pass runs on each chunk, a bounded block of hypotheses
-at a time (``_SCORE_PAIRS``): with the points centred on their mean and
-lifted to q (x) b, one GEMM gives c = g . b for every (hypothesis, point)
+alone, each 3-vector as three component planes. Scoring takes three
+levels, and only the last decides. The points are centred on their
+coordinate-wise median (which a few far label flips do not move) and
+lifted to q (x) b: one GEMM gives c = g . b for every (hypothesis, point)
 pair and a second gives kappa |g|^2, where g is the point in the camera
 frame and kappa = cos^2 of a slightly widened threshold angle. A pair
 survives when c |c| >= kappa |g|^2 - sigma, where sigma bounds the
 rounding of both GEMMs and of the exact test. An inlier has
 c >= cos(angle) |g| |b| > 0, so the prefilter never drops one
 (_prefilter_bounds derives the bound), and a hypothesis's survivor count
-bounds its inlier count from above. The exact pass then visits the
-hypotheses by decreasing bound and takes the exact arctan2 residual of
-every point for each, until the next bound is below the most inliers
-found: no hypothesis after it can win, as in Capel's bail-out test (BMVC
-2005) but exact. ``residual < threshold`` decides every inlier. Every
-hypothesis's arithmetic is independent of its neighbours, the bounds
-hold whatever the block shapes, and the exact pass runs after all
-chunks, so results are the same bit for bit whatever the chunk size. The
-winner is refit, as in LO-RANSAC, on the points within a threshold
+bounds its inlier count from above. Level one runs this test in float32
+on each chunk, a bounded block of hypotheses at a time
+(``_SCORE_PAIRS``), with a slack that grows with each point's distance
+from the frame's median and the median's distance from the camera. Level
+two runs it in float64, with a slack near rounding, lazily and a block at
+a time, on the hypotheses whose float32 bound still reaches the most
+inliers found. Level three, the exact pass, visits the hypotheses by
+decreasing bound and takes the exact arctan2 residual of every point for
+each, until the next bound is below the most inliers found: no
+hypothesis after it can win, as in Capel's bail-out test (BMVC 2005) but
+exact. Hypotheses that can at best tie the most inliers are scored on
+growing prefixes of the points and dropped once their running sum shows
+they cannot beat the best mean. ``residual < threshold`` decides every
+inlier, so any bounds that are never below the exact counts give the
+same winner bit for bit: the bound levels change what is scored, not the
+result. Every hypothesis's arithmetic is independent of its neighbours,
+the bounds hold whatever the block shapes, and the exact pass runs after
+all chunks, so results are the same bit for bit whatever the chunk size.
+The winner is refit, as in LO-RANSAC, on the points within a threshold
 shrinking to the real one, by EPnP (Lepetit et al., IJCV 2009)
 generalized to bearing vectors, each bearing giving two linear
 constraints in the plane perpendicular to it. That solver is plain
@@ -79,9 +89,19 @@ _REFIT_WIDENING = (2.0, 1.5, 1.0)
 # of the inlier angle in the scoring prefilter; see _prefilter_bounds.
 _U = 2.0 ** -53
 _PREFILTER_MARGIN = 1e-12
+# Unit roundoff of float32, and the float32 bound's operand range: a pose
+# takes the float64 bound where |t_c| or a coordinate lies outside it or
+# its rotation is further from orthonormal than _SINGLE_DEV.
+_U32 = 2.0 ** -24
+_SINGLE_RANGE = (2.0 ** -20, 2.0 ** 56)
+_SINGLE_DEV = 2.0 ** -20
 # Most (hypothesis, point) pairs scored at once. Both scoring passes work
 # on blocks of whole hypotheses, so their temporaries stay a few MB.
 _SCORE_PAIRS = 2 ** 16
+# Poses that can at best tie the best count are scored on the first
+# n / 2**_TIE_HALVINGS points, then on prefixes doubling in length, and a
+# pose is dropped once it cannot beat the best mean (_break_ties).
+_TIE_HALVINGS = 5
 
 
 class DegenerateConfigError(ValueError):
@@ -509,37 +529,51 @@ def _solve_p3p_batch(pts, brs):
 
 
 # ---------------------------------------------------------------------------
-# Hypothesis scoring: a conservative GEMM bound, then exact residuals for the
-# hypotheses that can still win
+# Hypothesis scoring: a float32 GEMM bound for every hypothesis, a float64
+# one for those that may still win, then exact residuals
 # ---------------------------------------------------------------------------
 
 
 def _lift_points(pts, brs):
     """Per-call operands of :func:`_prefilter_bounds`.
 
-    The points are centred on their mean so that the prefilter's rounding
-    scales with the frame's spread, not with the map's coordinates. Returns
-    (mean, dot_rows (12, n), norm_rows (7, n)): dot_rows holds the lifted
-    q_k b_i (k major) and b; norm_rows holds q, ones, |q|^2, and z and z^2
-    for z = |p| + |mean|, which bounds each point's rounding.
+    The points are centred on their coordinate-wise median (``mean`` below)
+    so that the prefilter's rounding scales with the frame's spread, not
+    with the map's coordinates or a few far outliers. Returns
+    (mean, dot_rows (12, n), norm_rows (7, n), single): dot_rows holds the
+    lifted q_k b_i (k major) and b; norm_rows holds q, ones, |q|^2, and z
+    and z^2 for z = |p| + |mean|, which bounds each point's rounding.
+    ``single`` holds the float32 level's operands, dot_rows and the rows q,
+    ones, |q|^2 and |q|, each rounded to float32; it is None when a
+    coordinate is not finite or |q| or |mean| passes ``_SINGLE_RANGE``.
     """
-    mean = pts.mean(axis=0)
+    n = len(pts)
+    mean = np.median(pts, axis=0)
     q = pts - mean
-    lifted = (q[:, :, None] * brs[:, None, :]).reshape(-1, 9)
-    dot_rows = np.ascontiguousarray(np.concatenate([lifted, brs], axis=1).T)
+    dot_rows = np.empty((12, n))
+    np.multiply(q.T[:, None], brs.T[None], out=dot_rows[:9].reshape(3, 3, n))
+    dot_rows[9:] = brs.T
+    qq = np.sum(q * q, axis=1)
     z = np.sqrt(np.sum(pts * pts, axis=1)) + math.sqrt(mean @ mean)
-    norm_rows = np.stack([*q.T, np.ones(len(q)), np.sum(q * q, axis=1), z, z * z])
-    return mean, dot_rows, norm_rows
+    norm_rows = np.stack([*q.T, np.ones(n), qq, z, z * z])
+    single = None
+    if np.max(np.r_[qq, mean @ mean]) <= _SINGLE_RANGE[1] ** 2:  # False for NaN
+        rows = np.empty((6, n), dtype=np.float32)
+        rows[:5], rows[5] = norm_rows[:5], np.sqrt(qq)
+        single = (dot_rows.astype(np.float32), rows)
+    return mean, dot_rows, norm_rows, single
 
 
-def _prefilter_bounds(rot, t, lift, threshold_deg):
+def _prefilter_bounds(rot, t, lift, threshold_deg, single=False):
     """Upper bounds on the inlier count of each pose in a stack.
 
     Two GEMMs over the lifted points keep a (pose, point) pair only if it
     may lie within the threshold; a pose's bound is its number of kept
     pairs. The prefilter never drops a pair whose exact residual
     (:func:`_residuals`) is below ``threshold_deg``, so the bound is never
-    below the exact inlier count.
+    below the exact inlier count. In float64 (the default) the slack sigma
+    is in world scale and tight; with ``single`` the GEMMs run on float32
+    operands, at half the memory traffic, with a camera-centred slack.
 
     Why, with u = 2**-53, g = p R + t the camera-frame point in exact
     arithmetic and G its rounded value in _residuals. For a pose and a
@@ -554,10 +588,12 @@ def _prefilter_bounds(rot, t, lift, threshold_deg):
          the cross and dot products are off by at most 6.2u |G| |b|, and
          arctan2 and the degree conversion by a few ulps.
       3. Then g . b >= |b| (cos(theta1) |g| - 2 E1).
-      4. |g' - g| <= u s z + E1 (rounding of q and t_c), and the dot GEMM
+      4. |g' - g| <= e1 = u s z + E1 (rounding of q and t_c), so g' . b >=
+         |b| (cos(theta1) |g| - e64) with e64 = 3 E1 + u s z. The dot GEMM
          returns d = g' . b within 32u span. So with a = |b| cos(theta1) |g|
          and eta = 3 E1 + 33u span, d >= a - eta, which gives
-         d |d| >= a^2 - 2 a eta - eta^2 >= a^2 - eta (2 span + 3 eta).
+         d |d| >= a^2 - 2 a eta - eta^2 >= a^2 - eta (2 span + 3 eta)
+         (x |x| is increasing, so this holds for a < eta too).
       5. The norm GEMM returns m ~ kappa |g'|^2 - sigma, using
          |q R|^2 = |q|^2 within dev z^2 and other rounding within 21u
          span^2. Also |g|^2 >= |g'|^2 - 2 span (u span + E1). With
@@ -577,42 +613,117 @@ def _prefilter_bounds(rot, t, lift, threshold_deg):
     whose exact residual is rounding noise. A threshold within M of 90
     degrees keeps every pair.
 
+    The float32 level keeps steps 1-4 up to e64 and adds the rounding of
+    the operands and of float32 arithmetic, with v = 2**-24 and Higham's
+    gamma_k = k v / (1 - k v) (Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 3.1): a sum of k products is within gamma_k of
+    the sum of their absolute values, in any order, with or without FMA.
+    Let P = s |q| + |t_c| >= |g'|, |b| <= 1 + 3u, and L as in 6.
+      7. The dot GEMM takes R, t_c, b and q_k b_j rounded to float32, each
+         within v (v + 2u for q_k b_j, rounded twice), and sums 12
+         products within gamma_12. The absolute values of its terms sum to
+         at most |b| (sqrt(3) s |q| + |t_c|) (the Frobenius norm of R is at
+         most sqrt(3) s), so D is within eta32 = 14.001v (sqrt(3) s |q| +
+         |t_c|) |b| of g' . b and, with step 4, D >= a - eta for eta =
+         e64 |b| + eta32. So D^2 >= D |D| >= a^2 - 2 a eta - eta^2, and
+         the rounded D^2 is within v D^2 <= 1.00001 v P^2 of D^2; the
+         comparison is exact. (The test takes D^2, one pass fewer than
+         D |D|: it keeps every pair that D |D| keeps.)
+      8. The norm GEMM takes its 6 coefficients, 2 kappa R t_c, kappa
+         |t_c|^2 - w0, kappa - w2 and -w1, and the rows q, ones, |q|^2 and
+         |q|, each rounded to float32: it returns m within 8.0001v of the
+         absolute values of its terms, which sum to at most (|q| + s
+         |t_c|)^2 + sigma for the slack sigma = w2 |q|^2 + w1 |q| + w0.
+         kappa |q|^2 is kappa |q R|^2 within dev |q|^2.
+      9. With a <= (1 + 3u)(P + e1), |g|^2 >= |g'|^2 - 2 P e1, and P <=
+         (1 + u) L, the terms of 7 and 8 add up to at most
+         v s^2 (57.52 |q|^2 + 94.52 |q| |t_c| + 37.02 |t_c|^2) + dev |q|^2
+         + 68.03u L^2 + 8.0001v sigma, and L <= s (1 + 2u) |q| + C for C
+         = 2 s |mean| + |t_c| + T. So
+           w2 = 58 v s^2 + 2 dev + 72u s^2 (1 + 2u)^2,
+           w1 = 95 v s^2 |t_c| + 144u s (1 + 2u) C,
+           w0 = 38 v s^2 |t_c|^2 + 72u C^2
+         cover them, and every pair that _residuals accepts is kept. The
+         v terms are a quadratic in |q| + |t_c|, the distances of the
+         point from the frame's mean and of the mean from the camera, so
+         a far point loosens only its own pairs, as in 6.
+     10. The float32 bound holds only while no value overflows and none
+         underflows enough to matter. A pose takes the float64 bound
+         instead unless |t_c| lies in _SINGLE_RANGE, T is below its top
+         and dev below _SINGLE_DEV, and a call whose coordinates pass the
+         range or are not finite takes it for every pose (_lift_points).
+         Then every float32 value is below 2**120, and an underflow
+         (an operand or a result below 2**-126) adds at most 2**-150 per
+         operation, times at most |t_c| or s for an operand. That moves D
+         by eps < 2**-92 and m by less than 2**-145, so D^2 by under
+         3 P eps < 2**-90 P. The v terms of w0, w1 and w2 exceed what 9
+         needs by over 0.35 v P^2 >= 2**-46 P (P >= |t_c| >= 2**-20),
+         which covers both. Fallback poses keep the float64 bound. A
+         NaN compares false, which keeps its pair.
+
     The per-pose terms are computed once for the stack; the GEMMs run on
     blocks of at most ``_SCORE_PAIRS`` pairs, and every pose's arithmetic
     is independent of the others in its block.
     """
-    mean, dot_rows, norm_rows = lift
+    mean, dot_rows, norm_rows, rows32 = lift
     h, n = rot.shape[0], dot_rows.shape[1]
     theta = math.radians(threshold_deg) * (1 + _PREFILTER_MARGIN) + _PREFILTER_MARGIN
     if theta >= math.pi / 2:
         return np.full(h, n, dtype=np.int64)
     t_c = np.matmul(mean, rot) + t
     t_c_norm = np.sqrt(np.sum(t_c * t_c, axis=1))
+    t_norm = np.sqrt(np.sum(t * t, axis=1))
     drift = np.linalg.norm(np.matmul(rot, np.swapaxes(rot, 1, 2)) - np.eye(3), axis=(1, 2))
     dev = drift + 16 * _U * (1.0 + drift)
-    # sigma = k (s z + c)^2 for each pair, as coefficients of 1, z and z^2
     s = 1.0 + dev
-    c = t_c_norm + np.sqrt(np.sum(t * t, axis=1))
-    k = 2 * (dev + 170 * _U)
     kappa = (1 - _PREFILTER_MARGIN) * math.cos(theta) ** 2
-    dot_coef = np.concatenate([rot.reshape(h, 9), t_c], axis=1)
     r_tc = np.matmul(rot, t_c[:, :, None])[:, :, 0]
-    norm_coef = np.column_stack([2 * kappa * r_tc, kappa * t_c_norm ** 2 - k * c * c,
-                                 np.full(h, kappa), -2 * k * s * c, -k * s * s])
+    if single and rows32 is None:
+        return _prefilter_bounds(rot, t, lift, threshold_deg)
+    if single:
+        low, high = _SINGLE_RANGE
+        fits = (t_c_norm >= low) & (t_c_norm <= high) & (t_norm <= high) & (dev <= _SINGLE_DEV)
+        if not fits.all():
+            bounds = np.empty(h, dtype=np.int64)
+            bounds[~fits] = _prefilter_bounds(rot[~fits], t[~fits], lift, threshold_deg)
+            if fits.any():
+                bounds[fits] = _prefilter_bounds(rot[fits], t[fits], lift, threshold_deg, True)
+            return bounds
+        far = 2 * s * math.sqrt(mean @ mean) + t_c_norm + t_norm
+        s1 = s * (1 + 2 * _U)
+        w2 = 58 * _U32 * s * s + 2 * dev + 72 * _U * s1 * s1
+        w1 = 95 * _U32 * s * s * t_c_norm + 144 * _U * s1 * far
+        w0 = 38 * _U32 * s * s * t_c_norm ** 2 + 72 * _U * far * far
+        norm_coef = np.column_stack([2 * kappa * r_tc, kappa * t_c_norm ** 2 - w0,
+                                     kappa - w2, -w1]).astype(np.float32)
+        dot_rows, norm_rows = rows32
+    else:
+        # sigma = k (s z + c)^2 for each pair, as coefficients of 1, z and z^2
+        c = t_c_norm + t_norm
+        k = 2 * (dev + 170 * _U)
+        norm_coef = np.column_stack([2 * kappa * r_tc, kappa * t_c_norm ** 2 - k * c * c,
+                                     np.full(h, kappa), -2 * k * s * c, -k * s * s])
+    dtype = norm_coef.dtype
+    dot_coef = np.concatenate([rot.reshape(h, 9), t_c], axis=1).astype(dtype)
 
     bounds = np.empty(h, dtype=np.int64)
     rows = max(1, min(h, _SCORE_PAIRS // n))
-    # one set of block buffers per stack, so the blocks allocate nothing
-    dot, dot_sq, norm = np.empty((3, rows, n))
-    keep = np.empty((rows, n), dtype=np.bool_)
+    # one set of block buffers per stack, so the blocks allocate nothing;
+    # the rows of drop are padded with zeros to whole 8-byte words
+    dot, dot_sq, norm = np.empty((3, rows, n), dtype=dtype)
+    drop = np.zeros((rows, -(-n // 8) * 8), dtype=np.bool_)
+    words = drop.view(np.uint64)
     for lo in range(0, h, rows):
         r = min(rows, h - lo)
         np.matmul(dot_coef[lo:lo + r], dot_rows, out=dot[:r])
         np.matmul(norm_coef[lo:lo + r], norm_rows, out=norm[:r])
-        np.multiply(dot[:r], np.abs(dot[:r], out=dot_sq[:r]), out=dot_sq[:r])
-        np.greater_equal(dot_sq[:r], norm[:r], out=keep[:r])
-        # summing the bytes as uint32 counts twice as fast as count_nonzero
-        bounds[lo:lo + r] = keep[:r].view(np.uint8).sum(axis=1, dtype=np.uint32)
+        if single:  # D^2 >= m keeps every pair that D |D| >= m keeps
+            sq = np.multiply(dot[:r], dot[:r], out=dot[:r])
+        else:
+            sq = np.multiply(dot[:r], np.abs(dot[:r], out=dot_sq[:r]), out=dot_sq[:r])
+        np.less(sq, norm[:r], out=drop[:r, :n])
+        # a popcount of each word counts its true bytes, 2x as fast as a sum
+        bounds[lo:lo + r] = n - np.bitwise_count(words[:r]).sum(axis=1, dtype=np.uint32)
     return bounds
 
 
@@ -629,38 +740,132 @@ def _exact_scores(rot, t, pts, brs, threshold_deg):
     return res, np.count_nonzero(inl, axis=1), sums
 
 
-def _exact_pass(bounds, rot, t, pts, brs, threshold_deg):
+def _break_ties(idx, rot, t, pts, brs, threshold_deg, best_key, counts, sums):
+    """The least key of ``best_key`` and the poses ``idx``, none of which
+    has more inliers than the best.
+
+    A key is (-count, mean, index), as in :func:`_exact_pass`, which writes
+    the count and sum of every pose scored in full into ``counts`` and
+    ``sums``. Each pose is scored on growing prefixes of the points: the
+    first holds n / 2**``_TIE_HALVINGS`` of them and each later one twice
+    as many. A pose is dropped once it can no longer reach the best count
+    or its running sum over that count exceeds the best mean: residuals
+    are non-negative and sums of them, rounded, never shrink. Every pose
+    is scored on the first prefix; the block with the least sums on it is
+    scored to the end first, so that the best mean falls early, and then
+    the rest, a prefix at a time. Every step takes blocks of at most
+    ``_SCORE_PAIRS`` pairs. The sums carry over from prefix to prefix in point order,
+    so they have the bits of :func:`_exact_scores`'.
+    """
+    n = pts.shape[0]
+    top = -best_key[0]
+    ends = np.unique(n >> np.arange(_TIE_HALVINGS, -1, -1))
+    ends = ends[ends > 0]
+    count = np.zeros(len(idx), dtype=np.int64)
+    total = np.zeros(len(idx))
+
+    def score(sel, lo, hi):
+        """Scores ``sel`` (positions in idx) on points lo to hi; returns
+        those that can still win."""
+        res = _residuals(rot[idx[sel]], t[idx[sel]], pts[lo:hi], brs[lo:hi])
+        inl = res < threshold_deg
+        count[sel] += np.count_nonzero(inl, axis=1)
+        part = np.where(inl, res, 0.0)
+        part[:, 0] += total[sel]
+        total[sel] = np.cumsum(part, axis=1)[:, -1]
+        return sel[(count[sel] + (n - hi) >= top) & ~(total[sel] / top > best_key[1])]
+
+    def finish(sel):
+        """Scores ``sel`` on the points past the first prefix, a prefix at
+        a time and a block of ``_SCORE_PAIRS`` pairs at a time; returns
+        those left, which are scored in full and have the best count."""
+        for lo, hi in zip(ends[:-1], ends[1:]):
+            rows = max(1, _SCORE_PAIRS // (hi - lo))
+            if sel.size:
+                sel = np.concatenate([score(sel[k:k + rows], lo, hi)
+                                      for k in range(0, sel.size, rows)])
+        return sel
+
+    rows = max(1, _SCORE_PAIRS // ends[0])
+    live = np.concatenate([score(np.arange(lo, min(lo + rows, len(idx))), 0, ends[0])
+                           for lo in range(0, len(idx), rows)])
+    # a block with the least sums first, so that the best mean falls early
+    live = live[np.argsort(total[live], kind="stable")]
+    rows = max(1, _SCORE_PAIRS // n)
+    for part in (live[:rows], live[rows:]):
+        sel = finish(part)
+        counts[idx[sel]], sums[idx[sel]] = count[sel], total[sel]
+        for j in sel:
+            best_key = min(best_key, (-top, total[j] / top, idx[j]))
+    return best_key
+
+
+def _exact_pass(bounds, rot, t, pts, brs, threshold_deg, rebound=None):
     """The best of a stack of poses by exact score, visiting only those that
     can still win.
 
-    Poses are visited by decreasing bound (ties by lower index), the first
-    alone and then a block of ``_SCORE_PAIRS`` pairs at a time, and scored
-    by :func:`_exact_scores`.
-    The best has the most inliers, then the lower mean inlier residual,
-    then the lower index. A pose whose bound is below the best inlier count
-    found so far cannot win, and neither can any pose after it, so the
-    visit stops there. Returns (counts, sums, best, residuals): counts is -1
-    for poses not visited; best is -1 and residuals None when no pose has
-    an inlier.
+    ``bounds`` are upper bounds on the poses' inlier counts. ``rebound``,
+    if given, maps an index array to tighter bounds of those poses (the
+    float64 level of the cascade); each pose is re-bounded before it is
+    scored, a block of ``_SCORE_PAIRS`` pairs' worth of poses at a time,
+    and only while its bound can still reach the best count. Poses are
+    visited by decreasing bound (ties by lower index), the first alone and
+    then a block at a time, and scored by :func:`_exact_scores`; a block
+    not yet re-bounded goes first whenever the largest bound in it is at
+    least that of every re-bounded pose waiting. The best has the most
+    inliers, then the lower mean inlier residual, then the lower index. A
+    pose whose bound is below the best inlier count found so far cannot
+    win, and neither can any pose after it, so the visit stops there. Once
+    every pose left can at best tie that count, :func:`_break_ties` scores
+    them. Returns (counts, sums, best, residuals): counts is -1 for poses
+    not scored in full; best is -1 and residuals None when no pose has an
+    inlier.
     """
-    h = len(bounds)
+    h, n = len(bounds), pts.shape[0]
+    bounds = np.array(bounds, dtype=np.int64)
+    block = max(1, _SCORE_PAIRS // n)
     order = np.argsort(-bounds, kind="stable")
+    # order[pos:] is not re-bounded yet; pending is, and waits to be scored,
+    # by decreasing bound and then index
+    pending, pos = (order, h) if rebound is None else (order[:0], 0)
     counts = np.full(h, -1, dtype=np.int64)
     sums = np.zeros(h)
-    best, best_key, best_res = -1, None, None
+    best_key, best_res = None, None
     top = 1  # a winner has at least one inlier
-    lo, visit = 0, 1  # the largest bound alone first: it usually wins
-    while lo < h and bounds[order[lo]] >= top:
-        idx = order[lo:lo + visit]
-        idx = idx[bounds[idx] >= top]
-        lo, visit = lo + visit, max(1, _SCORE_PAIRS // pts.shape[0])
+    visit = 1  # the largest bound alone first: it usually wins
+    while True:
+        head = bounds[order[pos]] if pos < h else -1
+        lead = bounds[pending[0]] if pending.size else -1
+        if max(head, lead) < top:
+            break
+        if head >= lead:  # a re-bound costs a tenth of an exact score
+            # poses that can at best tie the best count go all at once
+            idx = order[pos:pos + (block if best_key is None or head > top else h)]
+            pos += idx.size
+            idx = idx[bounds[idx] >= top]
+            bounds[idx] = np.minimum(bounds[idx], rebound(idx))
+            pending = np.concatenate([pending, idx])
+            pending = pending[np.lexsort((pending, -bounds[pending]))]
+            continue
+        if best_key is not None and lead == top:
+            key = _break_ties(pending[bounds[pending] == top], rot, t, pts, brs,
+                              threshold_deg, best_key, counts, sums)
+            if key != best_key:
+                j = key[2]
+                best_key, best_res = key, _residuals(rot[j:j + 1], t[j:j + 1], pts, brs)[0]
+            break
+        k = np.count_nonzero(bounds[pending[:visit]] > max(head, top - (best_key is None)))
+        idx, pending = pending[:k], pending[k:]
+        visit = block
         res, c, s = _exact_scores(rot[idx], t[idx], pts, brs, threshold_deg)
         counts[idx], sums[idx] = c, s
         for j in np.flatnonzero(c >= top):
             key = (-c[j], s[j] / c[j], idx[j])
             if best_key is None or key < best_key:
-                best, best_key, best_res, top = int(idx[j]), key, res[j], int(c[j])
-    return counts, sums, best, best_res
+                best_key, best_res, top = key, res[j], int(c[j])
+    if best_key is None:
+        return counts, sums, -1, None
+    return counts, sums, int(best_key[2]), best_res
 
 
 # ---------------------------------------------------------------------------
@@ -749,11 +954,16 @@ def ransac_pnp(corrs: Correspondences, cfg: RansacConfig = None) -> PoseEstimate
         ok, rot, t = _solve_p3p_batch(pts[idx], brs[idx])
         # samples without a pose keep a zero bound: their zero pose would
         # pass every pair through the prefilter
-        bounds[lo:hi][ok] = _prefilter_bounds(rot[ok], t[ok], lift, cfg.inlier_threshold_deg)
+        bounds[lo:hi][ok] = _prefilter_bounds(rot[ok], t[ok], lift, cfg.inlier_threshold_deg,
+                                              single=True)
         rots[lo:hi] = rot
         ts[lo:hi] = t
 
-    _, _, best_it, res = _exact_pass(bounds, rots, ts, pts, brs, cfg.inlier_threshold_deg)
+    def rebound(idx):
+        return _prefilter_bounds(rots[idx], ts[idx], lift, cfg.inlier_threshold_deg)
+
+    _, _, best_it, res = _exact_pass(bounds, rots, ts, pts, brs, cfg.inlier_threshold_deg,
+                                     rebound)
     best_effort = None
     if best_it >= 0:
         inliers = np.flatnonzero(res < cfg.inlier_threshold_deg)

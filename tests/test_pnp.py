@@ -623,14 +623,29 @@ def oracle_best(residual_rows, threshold):
 
 def scores(rots, ts, corrs, threshold, pruned):
     """Prefilter bounds of a stack of poses, a chunk at a time as in
-    ransac_pnp, and the exact pass ranked by them (``pruned``) or by a bound
-    of n for every pose, which makes it score them all."""
+    ransac_pnp, and the exact pass ranked by them (``pruned``), by the
+    float32 level with float64 re-bounds as in ransac_pnp (``"cascade"``,
+    whose bounds are the lesser of the two levels') or by a bound of n for
+    every pose, which makes it score them all."""
     pts, brs = corrs.world_points, corrs.bearings
     lift = pnp._lift_points(pts, brs)
     chunk = pnp._HYPOTHESIS_CHUNK
-    bounds = np.concatenate([
-        pnp._prefilter_bounds(rots[lo:lo + chunk], ts[lo:lo + chunk], lift, threshold)
-        for lo in range(0, len(rots), chunk)])
+
+    def bound(single):
+        return np.concatenate([
+            pnp._prefilter_bounds(rots[lo:lo + chunk], ts[lo:lo + chunk], lift, threshold,
+                                  single=single)
+            for lo in range(0, len(rots), chunk)])
+
+    bounds = bound(False)
+    if pruned == "cascade":
+        first = bound(True)
+
+        def rebound(idx):
+            return pnp._prefilter_bounds(rots[idx], ts[idx], lift, threshold)
+
+        return np.minimum(bounds, first), pnp._exact_pass(first, rots, ts, pts, brs, threshold,
+                                                          rebound)
     ranked = bounds if pruned else np.full(len(rots), len(corrs))
     return bounds, pnp._exact_pass(ranked, rots, ts, pts, brs, threshold)
 
@@ -644,22 +659,32 @@ def check_scores(rots, ts, corrs, threshold, pruned):
     want_counts, want_sums = exact_scores(rots, ts, corrs, threshold)
     assert (bounds >= want_counts).all()
     seen = counts >= 0
-    assert pruned or seen.all()
+    top = want_counts.max()
+    # every bound is n when dense: poses can only tie if the best has them all
+    assert pruned or top == len(corrs) or seen.all()
     assert np.array_equal(counts[seen], want_counts[seen])
     assert np.allclose(sums[seen], want_sums[seen], rtol=1e-12, atol=0.0)
-    assert (bounds[~seen] < want_counts.max()).all()
+    # a pose not scored in full has a bound below the best count, or ties
+    # it and was dropped once its running sum could not beat the winner's
+    assert (bounds[~seen] <= top).all()
     rows = [angular_residuals(Pose(rot, t), corrs) for rot, t in zip(rots, ts)]
     for i in np.flatnonzero(seen):
         assert (counts[i], sums[i]) == inlier_sum(rows[i], threshold)
     assert best == oracle_best(rows, threshold)
     if best >= 0:
+        assert seen[best]
+        best_mean = inlier_sum(rows[best], threshold)[1] / top
+        for i in np.flatnonzero(~seen & (want_counts == top)):
+            assert inlier_sum(rows[i], threshold)[1] / top >= best_mean
         assert np.array_equal(res, rows[best])
     return bounds, counts, sums
 
 
 # "dense": the exact pass scores every pose; "sparse": only those whose
-# prefilter bound can still beat the best exact count
-both_paths = pytest.mark.parametrize("pruned", [False, True], ids=["dense", "sparse"])
+# prefilter bound can still beat the best exact count; "cascade": as
+# "sparse", with float32 bounds re-bounded in float64 on the way
+both_paths = pytest.mark.parametrize("pruned", [False, True, "cascade"],
+                                     ids=["dense", "sparse", "cascade"])
 
 
 class TestHypothesisScoring:
@@ -701,6 +726,46 @@ class TestHypothesisScoring:
         rots = np.array([pose.rotation for pose in poses])
         ts = np.array([pose.translation for pose in poses])
         check_scores(rots, ts, corrs, threshold, pruned)
+
+    @settings(max_examples=60, deadline=None)
+    @example(seed=1, log_threshold=-1.0, offset=1e20, scale=1.0)   # overflows float32
+    @example(seed=2, log_threshold=-0.5, offset=0.0, scale=1e-40)  # subnormal in float32
+    @given(seed=st.integers(0, 2 ** 32 - 1), log_threshold=st.floats(-3.0, math.log10(89.0)),
+           offset=st.sampled_from([0.0, 1e3, 1e6]), scale=st.sampled_from([1.0, 1e-40, 1e20]))
+    def test_float32_level_never_below_the_exact_count(self, seed, log_threshold, offset,
+                                                       scale):
+        # the float32 level on its own, far from the origin, next to camera
+        # centres, and on inputs that must take the float64 bound instead
+        rng = np.random.default_rng(seed)
+        threshold = 10.0 ** log_threshold
+        base = offset * np.array([0.6, 0.0, 0.8])
+        poses = []
+        for _ in range(6):
+            rot = quaternion_to_rotation(rng.normal(size=4))
+            poses.append(Pose(rot, -rot.T @ (base + scale * rng.uniform(-20.0, 20.0, 3))))
+        pts, brs = points_at_angles(poses[0], rng.uniform(0.0, 2.0 * threshold, 150),
+                                    scale * rng.uniform(0.05, 40.0, 150), rng)
+        centres = np.array([pose.camera_center for pose in poses])
+        close = rng.normal(size=(36, 3))
+        close *= scale * rng.uniform(0.0, 0.01, (36, 1)) / np.linalg.norm(close, axis=1,
+                                                                           keepdims=True)
+        extra = np.concatenate([base + scale * rng.uniform(-20.0, 20.0, (60, 3)),
+                                np.repeat(centres, 6, axis=0) + close])
+        corrs = Correspondences(np.concatenate([brs, rng.normal(size=extra.shape)]),
+                                np.concatenate([pts, extra]))
+        rots = np.array([pose.rotation for pose in poses])
+        ts = np.array([pose.translation for pose in poses])
+        lift = pnp._lift_points(corrs.world_points, corrs.bearings)
+        with np.errstate(all="ignore"):
+            bounds = pnp._prefilter_bounds(rots, ts, lift, threshold, single=True)
+        want, _ = exact_scores(rots, ts, corrs, threshold)
+        assert (bounds >= want).all()
+        if offset == 0.0 and scale == 1.0:
+            assert lift[3] is not None
+        if scale == 1e20:
+            assert lift[3] is None
+        # a chunk with no pose, as when every sample of it is degenerate
+        assert pnp._prefilter_bounds(rots[:0], ts[:0], lift, threshold, single=True).size == 0
 
     @both_paths
     @pytest.mark.parametrize("threshold", [1e-3, 0.22, 5.0, 45.0, 89.0])
@@ -766,8 +831,9 @@ class TestHypothesisScoring:
         solved, visited = [], []
         real_pass = pnp._exact_pass
 
-        def every_pair(rot, t, lift, threshold):
-            solved.append(len(rot))
+        def every_pair(rot, t, lift, threshold, single=False):
+            if single:  # the first level bounds each hypothesis once
+                solved.append(len(rot))
             return np.full(len(rot), len(pts))
 
         def exact_pass(*args):
@@ -801,6 +867,33 @@ class TestHypothesisScoring:
             assert np.array_equal(bounds, whole_bounds)
             assert np.array_equal(out[0], counts) and np.array_equal(out[1], sums)
             assert out[2] == best and np.array_equal(out[3], res)
+
+    @both_paths
+    def test_ties_are_broken_on_part_of_the_points(self, rng, pruned):
+        # poses a rounding-sized turn from the truth all keep every point,
+        # so they tie on the count; the exact pass picks the least mean
+        # without scoring every pair of the poses that cannot win
+        pose = random_pose(rng)
+        corrs = synthetic_corrs(pose, 600, rng)
+        poses = [Pose(pose.rotation @ quaternion_to_rotation(
+            np.r_[1.0, rng.normal(scale=10.0 ** rng.uniform(-12, -7), size=3)]),
+            pose.translation) for _ in range(60)]
+        rots = np.array([p.rotation for p in poses])
+        ts = np.array([p.translation for p in poses])
+        scored = []
+        real = pnp._residuals
+
+        def residuals(rot, t, pts, brs):
+            scored.append(rot.shape[0] * pts.shape[0])
+            return real(rot, t, pts, brs)
+
+        with mock.patch.object(pnp, "_residuals", residuals):
+            scores(rots, ts, corrs, 0.22, pruned)
+        _, counts, _ = check_scores(rots, ts, corrs, 0.22, pruned)
+        want, _ = exact_scores(rots, ts, corrs, 0.22)
+        assert (want == 600).all()
+        assert (counts < 0).sum() > 20
+        assert sum(scored) < 0.8 * 60 * 600 + 600  # the winner's row again at most
 
     @pytest.mark.parametrize("inlier_share", [1.0, 0.2, 0.0])
     def test_scoring_memory_does_not_grow_with_survivors(self, rng, inlier_share):
