@@ -29,9 +29,7 @@ inliers found. Level three, the exact pass, visits the hypotheses by
 decreasing bound and takes the exact arctan2 residual of every point for
 each, until the next bound is below the most inliers found: no
 hypothesis after it can win, as in Capel's bail-out test (BMVC 2005) but
-exact. Hypotheses that can at best tie the most inliers are scored on
-growing prefixes of the points and dropped once their running sum shows
-they cannot beat the best mean. ``residual < threshold`` decides every
+exact. ``residual < threshold`` decides every
 inlier, so any bounds that are never below the exact counts give the
 same winner bit for bit: the bound levels change what is scored, not the
 result. Every hypothesis's arithmetic is independent of its neighbours,
@@ -98,10 +96,6 @@ _SINGLE_DEV = 2.0 ** -20
 # Most (hypothesis, point) pairs scored at once. Both scoring passes work
 # on blocks of whole hypotheses, so their temporaries stay a few MB.
 _SCORE_PAIRS = 2 ** 16
-# Poses that can at best tie the best count are scored on the first
-# n / 2**_TIE_HALVINGS points, then on prefixes doubling in length, and a
-# pose is dropped once it cannot beat the best mean (_break_ties).
-_TIE_HALVINGS = 5
 
 
 class DegenerateConfigError(ValueError):
@@ -708,11 +702,9 @@ def _prefilter_bounds(rot, t, lift, threshold_deg, single=False):
 
     bounds = np.empty(h, dtype=np.int64)
     rows = max(1, min(h, _SCORE_PAIRS // n))
-    # one set of block buffers per stack, so the blocks allocate nothing;
-    # the rows of drop are padded with zeros to whole 8-byte words
+    # one set of block buffers per stack, so the blocks allocate nothing
     dot, dot_sq, norm = np.empty((3, rows, n), dtype=dtype)
-    drop = np.zeros((rows, -(-n // 8) * 8), dtype=np.bool_)
-    words = drop.view(np.uint64)
+    drop = np.empty((rows, n), dtype=np.bool_)
     for lo in range(0, h, rows):
         r = min(rows, h - lo)
         np.matmul(dot_coef[lo:lo + r], dot_rows, out=dot[:r])
@@ -721,9 +713,9 @@ def _prefilter_bounds(rot, t, lift, threshold_deg, single=False):
             sq = np.multiply(dot[:r], dot[:r], out=dot[:r])
         else:
             sq = np.multiply(dot[:r], np.abs(dot[:r], out=dot_sq[:r]), out=dot_sq[:r])
-        np.less(sq, norm[:r], out=drop[:r, :n])
-        # a popcount of each word counts its true bytes, 2x as fast as a sum
-        bounds[lo:lo + r] = n - np.bitwise_count(words[:r]).sum(axis=1, dtype=np.uint32)
+        np.less(sq, norm[:r], out=drop[:r])
+        # summing the bytes as uint32 counts twice as fast as count_nonzero
+        bounds[lo:lo + r] = n - drop[:r].view(np.uint8).sum(axis=1, dtype=np.uint32)
     return bounds
 
 
@@ -740,73 +732,13 @@ def _exact_scores(rot, t, pts, brs, threshold_deg):
     return res, np.count_nonzero(inl, axis=1), sums
 
 
-def _break_ties(idx, rot, t, pts, brs, threshold_deg, best_key, counts, sums):
-    """The least key of ``best_key`` and the poses ``idx``, none of which
-    has more inliers than the best.
-
-    A key is (-count, mean, index), as in :func:`_exact_pass`, which writes
-    the count and sum of every pose scored in full into ``counts`` and
-    ``sums``. Each pose is scored on growing prefixes of the points: the
-    first holds n / 2**``_TIE_HALVINGS`` of them and each later one twice
-    as many. A pose is dropped once it can no longer reach the best count
-    or its running sum over that count exceeds the best mean: residuals
-    are non-negative and sums of them, rounded, never shrink. Every pose
-    is scored on the first prefix; the block with the least sums on it is
-    scored to the end first, so that the best mean falls early, and then
-    the rest, a prefix at a time. Every step takes blocks of at most
-    ``_SCORE_PAIRS`` pairs. The sums carry over from prefix to prefix in point order,
-    so they have the bits of :func:`_exact_scores`'.
-    """
-    n = pts.shape[0]
-    top = -best_key[0]
-    ends = np.unique(n >> np.arange(_TIE_HALVINGS, -1, -1))
-    ends = ends[ends > 0]
-    count = np.zeros(len(idx), dtype=np.int64)
-    total = np.zeros(len(idx))
-
-    def score(sel, lo, hi):
-        """Scores ``sel`` (positions in idx) on points lo to hi; returns
-        those that can still win."""
-        res = _residuals(rot[idx[sel]], t[idx[sel]], pts[lo:hi], brs[lo:hi])
-        inl = res < threshold_deg
-        count[sel] += np.count_nonzero(inl, axis=1)
-        part = np.where(inl, res, 0.0)
-        part[:, 0] += total[sel]
-        total[sel] = np.cumsum(part, axis=1)[:, -1]
-        return sel[(count[sel] + (n - hi) >= top) & ~(total[sel] / top > best_key[1])]
-
-    def finish(sel):
-        """Scores ``sel`` on the points past the first prefix, a prefix at
-        a time and a block of ``_SCORE_PAIRS`` pairs at a time; returns
-        those left, which are scored in full and have the best count."""
-        for lo, hi in zip(ends[:-1], ends[1:]):
-            rows = max(1, _SCORE_PAIRS // (hi - lo))
-            if sel.size:
-                sel = np.concatenate([score(sel[k:k + rows], lo, hi)
-                                      for k in range(0, sel.size, rows)])
-        return sel
-
-    rows = max(1, _SCORE_PAIRS // ends[0])
-    live = np.concatenate([score(np.arange(lo, min(lo + rows, len(idx))), 0, ends[0])
-                           for lo in range(0, len(idx), rows)])
-    # a block with the least sums first, so that the best mean falls early
-    live = live[np.argsort(total[live], kind="stable")]
-    rows = max(1, _SCORE_PAIRS // n)
-    for part in (live[:rows], live[rows:]):
-        sel = finish(part)
-        counts[idx[sel]], sums[idx[sel]] = count[sel], total[sel]
-        for j in sel:
-            best_key = min(best_key, (-top, total[j] / top, idx[j]))
-    return best_key
-
-
-def _exact_pass(bounds, rot, t, pts, brs, threshold_deg, rebound=None):
+def _exact_pass(bounds, rot, t, pts, brs, threshold_deg, rebound):
     """The best of a stack of poses by exact score, visiting only those that
     can still win.
 
-    ``bounds`` are upper bounds on the poses' inlier counts. ``rebound``,
-    if given, maps an index array to tighter bounds of those poses (the
-    float64 level of the cascade); each pose is re-bounded before it is
+    ``bounds`` are upper bounds on the poses' inlier counts, and
+    ``rebound`` maps an index array to tighter bounds of those poses (the
+    float64 level of the cascade). Each pose is re-bounded before it is
     scored, a block of ``_SCORE_PAIRS`` pairs' worth of poses at a time,
     and only while its bound can still reach the best count. Poses are
     visited by decreasing bound (ties by lower index), the first alone and
@@ -815,22 +747,20 @@ def _exact_pass(bounds, rot, t, pts, brs, threshold_deg, rebound=None):
     least that of every re-bounded pose waiting. The best has the most
     inliers, then the lower mean inlier residual, then the lower index. A
     pose whose bound is below the best inlier count found so far cannot
-    win, and neither can any pose after it, so the visit stops there. Once
-    every pose left can at best tie that count, :func:`_break_ties` scores
-    them. Returns (counts, sums, best, residuals): counts is -1 for poses
-    not scored in full; best is -1 and residuals None when no pose has an
-    inlier.
+    win, and neither can any pose after it, so the visit stops there.
+    Returns (counts, sums, best, residuals): counts is -1 for poses not
+    visited; best is -1 and residuals None when no pose has an inlier.
     """
-    h, n = len(bounds), pts.shape[0]
+    h = len(bounds)
     bounds = np.array(bounds, dtype=np.int64)
-    block = max(1, _SCORE_PAIRS // n)
+    block = max(1, _SCORE_PAIRS // pts.shape[0])
     order = np.argsort(-bounds, kind="stable")
     # order[pos:] is not re-bounded yet; pending is, and waits to be scored,
     # by decreasing bound and then index
-    pending, pos = (order, h) if rebound is None else (order[:0], 0)
+    pending, pos = order[:0], 0
     counts = np.full(h, -1, dtype=np.int64)
     sums = np.zeros(h)
-    best_key, best_res = None, None
+    best, best_key, best_res = -1, None, None
     top = 1  # a winner has at least one inlier
     visit = 1  # the largest bound alone first: it usually wins
     while True:
@@ -839,22 +769,15 @@ def _exact_pass(bounds, rot, t, pts, brs, threshold_deg, rebound=None):
         if max(head, lead) < top:
             break
         if head >= lead:  # a re-bound costs a tenth of an exact score
-            # poses that can at best tie the best count go all at once
-            idx = order[pos:pos + (block if best_key is None or head > top else h)]
+            idx = order[pos:pos + block]
             pos += idx.size
             idx = idx[bounds[idx] >= top]
             bounds[idx] = np.minimum(bounds[idx], rebound(idx))
             pending = np.concatenate([pending, idx])
             pending = pending[np.lexsort((pending, -bounds[pending]))]
             continue
-        if best_key is not None and lead == top:
-            key = _break_ties(pending[bounds[pending] == top], rot, t, pts, brs,
-                              threshold_deg, best_key, counts, sums)
-            if key != best_key:
-                j = key[2]
-                best_key, best_res = key, _residuals(rot[j:j + 1], t[j:j + 1], pts, brs)[0]
-            break
-        k = np.count_nonzero(bounds[pending[:visit]] > max(head, top - (best_key is None)))
+        # the re-bounded poses ahead of every pose not yet re-bounded
+        k = np.count_nonzero(bounds[pending[:visit]] > max(head, top - 1))
         idx, pending = pending[:k], pending[k:]
         visit = block
         res, c, s = _exact_scores(rot[idx], t[idx], pts, brs, threshold_deg)
@@ -862,10 +785,8 @@ def _exact_pass(bounds, rot, t, pts, brs, threshold_deg, rebound=None):
         for j in np.flatnonzero(c >= top):
             key = (-c[j], s[j] / c[j], idx[j])
             if best_key is None or key < best_key:
-                best_key, best_res, top = key, res[j], int(c[j])
-    if best_key is None:
-        return counts, sums, -1, None
-    return counts, sums, int(best_key[2]), best_res
+                best, best_key, best_res, top = int(idx[j]), key, res[j], int(c[j])
+    return counts, sums, best, best_res
 
 
 # ---------------------------------------------------------------------------
