@@ -739,17 +739,19 @@ def _exact_pass(bounds, rot, t, pts, brs, threshold_deg, rebound):
     ``bounds`` are upper bounds on the poses' inlier counts, and
     ``rebound`` maps an index array to tighter bounds of those poses (the
     float64 level of the cascade). Each pose is re-bounded before it is
-    scored, a block of ``_SCORE_PAIRS`` pairs' worth of poses at a time,
-    and only while its bound can still reach the best count. Poses are
-    visited by decreasing bound (ties by lower index), the first alone and
-    then a block at a time, and scored by :func:`_exact_scores`; a block
-    not yet re-bounded goes first whenever the largest bound in it is at
-    least that of every re-bounded pose waiting. The best has the most
-    inliers, then the lower mean inlier residual, then the lower index. A
-    pose whose bound is below the best inlier count found so far cannot
-    win, and neither can any pose after it, so the visit stops there.
-    Returns (counts, sums, best, residuals): counts is -1 for poses not
-    visited; best is -1 and residuals None when no pose has an inlier.
+    scored, by decreasing bound, a block of ``_SCORE_PAIRS`` pairs' worth
+    of poses at a time, and only while its bound can still reach the best
+    count; once no pose left can beat that count, the rest go in one call.
+    Re-bounded poses are visited by decreasing bound (ties by lower
+    index), the first alone and then a block at a time, and scored by
+    :func:`_exact_scores`; a block not yet re-bounded goes first whenever
+    the largest bound in it exceeds that of every re-bounded pose waiting.
+    The best has the most inliers, then the lower mean inlier residual,
+    then the lower index. A pose whose bound is below the best inlier
+    count found so far cannot win, and neither can any pose after it, so
+    the visit stops there. Returns (counts, sums, best, residuals): counts
+    is -1 for poses not visited; best is -1 and residuals None when no
+    pose has an inlier.
     """
     h = len(bounds)
     bounds = np.array(bounds, dtype=np.int64)
@@ -768,16 +770,18 @@ def _exact_pass(bounds, rot, t, pts, brs, threshold_deg, rebound):
         lead = bounds[pending[0]] if pending.size else -1
         if max(head, lead) < top:
             break
-        if head >= lead:  # a re-bound costs a tenth of an exact score
-            idx = order[pos:pos + block]
+        if head > lead:
+            # once no pose left can beat the best count, the count stays and
+            # every pose left must be re-bounded: one call takes them all
+            idx = order[pos:pos + (block if best_key is None or head > top else h)]
             pos += idx.size
             idx = idx[bounds[idx] >= top]
             bounds[idx] = np.minimum(bounds[idx], rebound(idx))
             pending = np.concatenate([pending, idx])
             pending = pending[np.lexsort((pending, -bounds[pending]))]
             continue
-        # the re-bounded poses ahead of every pose not yet re-bounded
-        k = np.count_nonzero(bounds[pending[:visit]] > max(head, top - 1))
+        # the re-bounded poses whose bounds are at least every other's
+        k = np.count_nonzero(bounds[pending[:visit]] >= max(head, top))
         idx, pending = pending[:k], pending[k:]
         visit = block
         res, c, s = _exact_scores(rot[idx], t[idx], pts, brs, threshold_deg)

@@ -861,6 +861,31 @@ class TestHypothesisScoring:
             assert np.array_equal(out[0], counts) and np.array_equal(out[1], sums)
             assert out[2] == best and np.array_equal(out[3], res)
 
+    def test_poses_that_can_only_tie_are_re_bounded_in_one_call(self, rng):
+        # poses a rounding-sized turn from the truth all keep every point,
+        # so once one is scored no other can beat its count
+        pose = random_pose(rng)
+        corrs = synthetic_corrs(pose, 600, rng)
+        poses = [Pose(pose.rotation @ quaternion_to_rotation(
+            np.r_[1.0, rng.normal(scale=10.0 ** rng.uniform(-12, -7), size=3)]),
+            pose.translation) for _ in range(300)]
+        rots = np.array([p.rotation for p in poses])
+        ts = np.array([p.translation for p in poses])
+        pts, brs = corrs.world_points, corrs.bearings
+        lift = pnp._lift_points(pts, brs)
+        calls = []
+
+        def rebound(idx):
+            calls.append(len(idx))
+            return pnp._prefilter_bounds(rots[idx], ts[idx], lift, 0.22)
+
+        first = pnp._prefilter_bounds(rots, ts, lift, 0.22, single=True)
+        counts, _, best, _ = pnp._exact_pass(first, rots, ts, pts, brs, 0.22, rebound)
+        rows = [angular_residuals(p, corrs) for p in poses]
+        assert (counts == 600).all() and best == oracle_best(rows, 0.22)
+        block = pnp._SCORE_PAIRS // 600
+        assert calls == [block, 300 - block]
+
     @pytest.mark.parametrize("inlier_share", [1.0, 0.2, 0.0])
     def test_scoring_memory_does_not_grow_with_survivors(self, rng, inlier_share):
         # a full chunk against 5000 points, every pose alike, so the exact
